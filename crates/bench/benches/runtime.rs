@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks of the runtime substrate: mailbox transfer
-//! cost, meta-operator dispatch, and end-to-end virtual-time simulation
-//! throughput (events/second of the DES engine).
+//! cost, meta-operator dispatch, end-to-end virtual-time simulation
+//! throughput (events/second of the DES engine), and the per-tuple
+//! bookkeeping beside the kernels: source key sampling and count-window
+//! slides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spinstreams_core::Tuple;
+use spinstreams_core::{KeyDistribution, Tuple};
+use spinstreams_operators::CountWindow;
 use spinstreams_runtime::operators::PassThrough;
 use spinstreams_runtime::{
     channel, simulate, ActorGraph, Behavior, Envelope, MetaDest, MetaOperator, MetaRoute, Outputs,
@@ -88,10 +91,50 @@ fn bench_simulation(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_key_sampling(c: &mut Criterion) {
+    // One inverse-CDF draw per generated tuple, as the engine and DES
+    // sources pay it; the workloads' zipf key sets.
+    let mut g = c.benchmark_group("key_distribution_sample");
+    for (keys, alpha) in [(4096usize, 0.8), (1024, 0.9)] {
+        let dist = KeyDistribution::zipf(keys, alpha);
+        let mut u = 0.0f64;
+        let id = BenchmarkId::new("zipf", format!("{keys}/{alpha}"));
+        g.bench_with_input(id, &keys, |b, _| {
+            b.iter(|| {
+                // Golden-ratio steps cover [0, 1) evenly.
+                u = (u + 0.618_033_988_749_895) % 1.0;
+                black_box(dist.sample(black_box(u)))
+            })
+        });
+    }
+    g.finish();
+}
+
+fn bench_count_window(c: &mut Criterion) {
+    // One slide of a full window per push: the per-tuple state update of
+    // every windowed operator.
+    let mut g = c.benchmark_group("count_window_push");
+    for (length, slide) in [(32usize, 1usize), (100, 10)] {
+        let mut w = CountWindow::new(length, slide);
+        let mut seq = 0u64;
+        let id = BenchmarkId::new("length_slide", format!("{length}/{slide}"));
+        g.bench_with_input(id, &length, |b, _| {
+            b.iter(|| {
+                seq += 1;
+                let item = Tuple::splat(0, seq, seq as f64);
+                black_box(w.push(black_box(item)).map(|content| content.len()))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_mailbox,
     bench_meta_operator,
-    bench_simulation
+    bench_simulation,
+    bench_key_sampling,
+    bench_count_window
 );
 criterion_main!(benches);

@@ -20,6 +20,10 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyDistribution {
     freqs: Vec<f64>,
+    /// Running sums of `freqs`, accumulated left to right in `f64` — the
+    /// exact sequence an inverse-CDF scan would compute, so a binary search
+    /// over it picks the same key the scan would.
+    cdf: Vec<f64>,
 }
 
 impl KeyDistribution {
@@ -42,11 +46,22 @@ impl KeyDistribution {
         // Already-normalized input passes through bit-exactly (so
         // serialization round-trips are lossless); anything else is scaled.
         if (total - 1.0).abs() < 1e-12 {
-            return Some(KeyDistribution { freqs: weights });
+            return Some(Self::from_freqs(weights));
         }
-        Some(KeyDistribution {
-            freqs: weights.into_iter().map(|w| w / total).collect(),
-        })
+        Some(Self::from_freqs(
+            weights.into_iter().map(|w| w / total).collect(),
+        ))
+    }
+
+    fn from_freqs(freqs: Vec<f64>) -> Self {
+        let cdf = freqs
+            .iter()
+            .scan(0.0, |acc, p| {
+                *acc += p;
+                Some(*acc)
+            })
+            .collect();
+        KeyDistribution { freqs, cdf }
     }
 
     /// A uniform distribution over `num_keys` keys.
@@ -56,9 +71,7 @@ impl KeyDistribution {
     /// Panics if `num_keys` is zero.
     pub fn uniform(num_keys: usize) -> Self {
         assert!(num_keys > 0, "a key distribution needs at least one key");
-        KeyDistribution {
-            freqs: vec![1.0 / num_keys as f64; num_keys],
-        }
+        Self::from_freqs(vec![1.0 / num_keys as f64; num_keys])
     }
 
     /// A Zipf-like power-law distribution over `num_keys` keys with scaling
@@ -109,16 +122,18 @@ impl KeyDistribution {
 
     /// Samples a key index given a uniform draw `u ∈ [0, 1)` (inverse CDF).
     ///
-    /// Deterministic given `u`, which keeps workload generation reproducible.
+    /// Returns the first key whose cumulative probability exceeds `u`,
+    /// found by binary search in O(log K). A `u` at or above the last
+    /// running sum (which rounding can leave just below `1.0`) maps to the
+    /// last key, and so does `NaN`, which is below no running sum.
+    /// Deterministic given `u`, which keeps workload generation
+    /// reproducible.
     pub fn sample(&self, u: f64) -> usize {
-        let mut acc = 0.0;
-        for (k, p) in self.freqs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return k;
-            }
+        let last = self.cdf.len() - 1;
+        if u.is_nan() {
+            return last;
         }
-        self.freqs.len() - 1
+        self.cdf.partition_point(|&c| c <= u).min(last)
     }
 }
 
@@ -183,5 +198,76 @@ mod tests {
     fn sample_clamps_to_last_key() {
         let d = KeyDistribution::uniform(3);
         assert_eq!(d.sample(1.0), 2);
+    }
+
+    /// The inverse-CDF linear scan `sample` replaced: the reference every
+    /// binary-search draw must reproduce bit for bit.
+    fn sample_by_scan(d: &KeyDistribution, u: f64) -> usize {
+        let mut acc = 0.0;
+        for (k, p) in d.frequencies().iter().enumerate() {
+            acc += p;
+            if u < acc {
+                return k;
+            }
+        }
+        d.num_keys() - 1
+    }
+
+    #[test]
+    fn sample_matches_linear_scan_bit_for_bit() {
+        let dists = [
+            KeyDistribution::zipf(1024, 0.9),
+            KeyDistribution::zipf(4096, 0.8),
+            KeyDistribution::uniform(3),
+            KeyDistribution::new(vec![0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 3.0, 0.0]).unwrap(),
+        ];
+        // SplitMix64 draws: no dependency, fixed seed.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next_u = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for d in &dists {
+            let mut probes = vec![0.0, -0.0, 1.0, 1.5, f64::INFINITY, f64::NEG_INFINITY];
+            let mut acc = 0.0;
+            for p in d.frequencies() {
+                acc += p;
+                probes.extend([acc, acc.next_down(), acc.next_up()]);
+            }
+            for u in probes {
+                assert_eq!(d.sample(u), sample_by_scan(d, u), "u = {u:e}");
+            }
+            for _ in 0..1_000_000 {
+                let u = next_u();
+                assert_eq!(d.sample(u), sample_by_scan(d, u), "u = {u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn sample_of_nan_is_the_last_key() {
+        // The scan never satisfies `NaN < acc`; a bare binary search would
+        // answer key 0 instead.
+        for d in [
+            KeyDistribution::zipf(1024, 0.9),
+            KeyDistribution::uniform(3),
+        ] {
+            assert_eq!(d.sample(f64::NAN), d.num_keys() - 1);
+            assert_eq!(d.sample(f64::NAN), sample_by_scan(&d, f64::NAN));
+        }
+    }
+
+    #[test]
+    fn sample_skips_zero_weight_keys() {
+        let d = KeyDistribution::new(vec![0.0, 1.0, 0.0, 1.0, 0.0]).unwrap();
+        assert_eq!(d.sample(0.0), 1);
+        assert_eq!(d.sample(0.5), 3);
+        assert_eq!(d.sample(0.999), 3);
+        // Past the mass, the clamp lands on the (zero-weight) last key,
+        // exactly as the scan's fallback does.
+        assert_eq!(d.sample(1.0), 4);
     }
 }

@@ -7,7 +7,7 @@
 //! partitioned-stateful, fissionable by key assignment; in *global* mode
 //! there is a single window — monolithic stateful, not fissionable.
 
-use crate::window::{CountWindow, KeyedWindows};
+use crate::window::{select_as_sorted, CountWindow, KeyedWindows};
 use spinstreams_core::Tuple;
 use spinstreams_runtime::operators::synthetic_work;
 use spinstreams_runtime::{Outputs, StateSnapshot, StreamOperator};
@@ -29,23 +29,24 @@ pub enum Aggregation {
 }
 
 impl Aggregation {
-    /// Applies the aggregation to a window.
-    pub fn apply(self, window: &[Tuple]) -> f64 {
-        debug_assert!(!window.is_empty());
+    /// Applies the aggregation to a window, folding oldest first.
+    pub fn apply<'a, W>(self, window: W) -> f64
+    where
+        W: IntoIterator<Item = &'a Tuple>,
+        W::IntoIter: Clone + ExactSizeIterator,
+    {
+        let window = window.into_iter();
+        debug_assert!(window.len() > 0);
         match self {
-            Aggregation::Sum => window.iter().map(|t| t.values[0]).sum(),
+            Aggregation::Sum => window.map(|t| t.values[0]).sum(),
             Aggregation::Max => window
-                .iter()
                 .map(|t| t.values[0])
                 .fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Min => window
-                .iter()
-                .map(|t| t.values[0])
-                .fold(f64::INFINITY, f64::min),
+            Aggregation::Min => window.map(|t| t.values[0]).fold(f64::INFINITY, f64::min),
             Aggregation::WeightedMovingAverage => {
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (i, t) in window.iter().enumerate() {
+                for (i, t) in window.enumerate() {
                     let w = (i + 1) as f64;
                     num += w * t.values[0];
                     den += w;
@@ -54,12 +55,8 @@ impl Aggregation {
             }
             Aggregation::StdDev => {
                 let n = window.len() as f64;
-                let mean = window.iter().map(|t| t.values[0]).sum::<f64>() / n;
-                let var = window
-                    .iter()
-                    .map(|t| (t.values[0] - mean).powi(2))
-                    .sum::<f64>()
-                    / n;
+                let mean = window.clone().map(|t| t.values[0]).sum::<f64>() / n;
+                let var = window.map(|t| (t.values[0] - mean).powi(2)).sum::<f64>() / n;
                 var.sqrt()
             }
         }
@@ -219,8 +216,8 @@ impl StreamOperator for WindowedAggregate {
 }
 
 /// Windowed quantile: emits the `q`-quantile of `values[0]` over the window
-/// (computed by sorting a scratch copy — a deliberately compute-heavy
-/// aggregate, like the paper's quantile operator).
+/// (selected from a scratch copy in O(length) — the value a full sort would
+/// put at the quantile's index, bit for bit).
 pub struct WindowedQuantile {
     q: f64,
     state: WindowState,
@@ -282,11 +279,14 @@ impl StreamOperator for WindowedQuantile {
         if let Some(window) = triggered {
             self.scratch.clear();
             self.scratch.extend(window.iter().map(|t| t.values[0]));
-            self.scratch
-                .sort_by(|a, b| a.partial_cmp(b).expect("attribute values are finite"));
             let idx = ((self.scratch.len() - 1) as f64 * self.q).round() as usize;
             let mut result = item;
-            result.values[0] = self.scratch[idx];
+            result.values[0] = select_as_sorted(
+                &mut self.scratch,
+                idx,
+                |a, b| a.partial_cmp(b).expect("attribute values are finite"),
+                window.iter().map(|t| t.values[0]),
+            );
             out.emit_default(result);
         }
     }
@@ -314,6 +314,8 @@ impl StreamOperator for WindowedQuantile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::reference::{tied_stream, VecWindow};
+    use std::collections::HashMap;
 
     fn t(v: f64, seq: u64) -> Tuple {
         Tuple::splat(0, seq, v)
@@ -531,5 +533,76 @@ mod tests {
             WindowedQuantile::keyed(0.5, 2, 1, 0).name(),
             "keyed-quantile"
         );
+    }
+
+    /// The sort-based quantile `WindowedQuantile` computed before it
+    /// switched to selection.
+    fn quantile_by_sort(window: &[Tuple], q: f64) -> f64 {
+        let mut v: Vec<f64> = window.iter().map(|t| t.values[0]).collect();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        v[((v.len() - 1) as f64 * q).round() as usize]
+    }
+
+    fn bits(ts: &[Tuple]) -> Vec<(u64, u64, [u64; 4])> {
+        ts.iter()
+            .map(|t| (t.key, t.seq, t.values.map(f64::to_bits)))
+            .collect()
+    }
+
+    #[test]
+    fn quantile_selection_matches_sort_bit_for_bit() {
+        let inputs = tied_stream(600, 3);
+        for q in [0.0, 0.5, 0.9, 1.0] {
+            for eager in [false, true] {
+                for (length, slide) in [(32, 1), (7, 3), (1, 1)] {
+                    for keyed in [false, true] {
+                        let mut op = if keyed {
+                            WindowedQuantile::keyed(q, length, slide, 0)
+                        } else {
+                            WindowedQuantile::global(q, length, slide, 0)
+                        };
+                        if eager {
+                            op = op.eager();
+                        }
+                        let mut model: HashMap<u64, VecWindow> = HashMap::new();
+                        let mut want = Vec::new();
+                        for it in &inputs {
+                            let key = if keyed { it.key } else { 0 };
+                            let w = model
+                                .entry(key)
+                                .or_insert_with(|| VecWindow::new(length, slide, eager));
+                            if let Some(content) = w.push(*it) {
+                                let mut r = *it;
+                                r.values[0] = quantile_by_sort(content, q);
+                                want.push(r);
+                            }
+                        }
+                        let got = drive(&mut op, &inputs);
+                        assert!(!want.is_empty());
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "q {q}, {length}/{slide}, eager {eager}, keyed {keyed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_of_a_nan_attribute_panics() {
+        // Supervision relies on the panic the sort's comparator raised.
+        for q in [0.0, 0.5, 1.0] {
+            for at in 0..4 {
+                let inputs: Vec<Tuple> = (0..4)
+                    .map(|i| t(if i == at { f64::NAN } else { i as f64 }, i))
+                    .collect();
+                let result = std::panic::catch_unwind(|| {
+                    drive(&mut WindowedQuantile::global(q, 4, 4, 0), &inputs)
+                });
+                assert!(result.is_err(), "q {q}, NaN at {at}");
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Spatial window queries (§5.1): skyline and top-k.
 
-use crate::window::CountWindow;
+use crate::window::{select_as_sorted, CountWindow};
 use spinstreams_core::Tuple;
 use spinstreams_runtime::operators::synthetic_work;
-use spinstreams_runtime::{Outputs, StreamOperator};
+use spinstreams_runtime::{Outputs, StateSnapshot, StreamOperator};
 
 /// 2-D skyline over a count-based window.
 ///
@@ -34,7 +34,7 @@ impl Skyline {
     }
 
     /// Computes the skyline (minimization, 2-D) of `points`.
-    pub fn skyline_of(points: &[Tuple]) -> Vec<Tuple> {
+    pub fn skyline_of<'a>(points: impl IntoIterator<Item = &'a Tuple>) -> Vec<Tuple> {
         let mut result: Vec<Tuple> = Vec::new();
         'outer: for p in points {
             let (px, py) = (p.values[0], p.values[1]);
@@ -74,6 +74,17 @@ impl StreamOperator for Skyline {
     }
     fn name(&self) -> &str {
         "skyline"
+    }
+    fn reset(&mut self) {
+        self.window.clear();
+    }
+    fn snapshot(&mut self) -> Option<StateSnapshot> {
+        let mut s = StateSnapshot::new();
+        self.window.encode_into(&mut s);
+        Some(s)
+    }
+    fn restore(&mut self, snapshot: &StateSnapshot) -> bool {
+        self.window.decode_from(&mut snapshot.reader())
     }
 }
 
@@ -118,25 +129,45 @@ impl StreamOperator for TopK {
         if let Some(window) = self.window.push(item) {
             self.scratch.clear();
             self.scratch.extend(window.iter().map(|t| t.values[0]));
-            // Partial selection of the k largest.
-            self.scratch
-                .sort_by(|a, b| b.partial_cmp(a).expect("finite attribute values"));
-            let mut result = item;
+            // The first of the largest values, as a descending stable sort
+            // would put it at index 0.
+            let max = self.scratch[1..]
+                .iter()
+                .fold(self.scratch[0], |m, &x| if x > m { x } else { m });
             // With eager (partial) windows the buffer may hold < k items.
             let kth = self.k.min(self.scratch.len());
-            result.values[0] = self.scratch[kth - 1];
-            result.values[1] = self.scratch[0];
+            let mut result = item;
+            result.values[0] = select_as_sorted(
+                &mut self.scratch,
+                kth - 1,
+                |a, b| b.partial_cmp(a).expect("finite attribute values"),
+                window.iter().map(|t| t.values[0]),
+            );
+            result.values[1] = max;
             out.emit_default(result);
         }
     }
     fn name(&self) -> &str {
         "top-k"
     }
+    fn reset(&mut self) {
+        self.window.clear();
+        self.scratch.clear();
+    }
+    fn snapshot(&mut self) -> Option<StateSnapshot> {
+        let mut s = StateSnapshot::new();
+        self.window.encode_into(&mut s);
+        Some(s)
+    }
+    fn restore(&mut self, snapshot: &StateSnapshot) -> bool {
+        self.window.decode_from(&mut snapshot.reader())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::reference::{tied_stream, VecWindow};
 
     fn pt(x: f64, y: f64) -> Tuple {
         Tuple::new(0, 0, [x, y, 0.0, 0.0])
@@ -249,5 +280,104 @@ mod tests {
         let got = drive(&mut op, &[pt(1.0, 1.0)]);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].values[0], 1.0);
+    }
+
+    /// The sort-based threshold and maximum `TopK` computed before it
+    /// switched to selection.
+    fn topk_by_sort(window: &[Tuple], k: usize) -> (f64, f64) {
+        let mut v: Vec<f64> = window.iter().map(|t| t.values[0]).collect();
+        v.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+        (v[k.min(v.len()) - 1], v[0])
+    }
+
+    fn bits(ts: &[Tuple]) -> Vec<(u64, u64, [u64; 4])> {
+        ts.iter()
+            .map(|t| (t.key, t.seq, t.values.map(f64::to_bits)))
+            .collect()
+    }
+
+    #[test]
+    fn topk_selection_matches_sort_bit_for_bit() {
+        let inputs = tied_stream(600, 1);
+        for eager in [false, true] {
+            for (length, slide) in [(100, 10), (32, 1), (5, 2), (1, 1)] {
+                for k in [1, 3.min(length), length] {
+                    let mut op = TopK::new(k, length, slide, 0);
+                    if eager {
+                        op = op.eager();
+                    }
+                    let mut model = VecWindow::new(length, slide, eager);
+                    let mut want = Vec::new();
+                    for it in &inputs {
+                        if let Some(content) = model.push(*it) {
+                            let mut r = *it;
+                            (r.values[0], r.values[1]) = topk_by_sort(content, k);
+                            want.push(r);
+                        }
+                    }
+                    let got = drive(&mut op, &inputs);
+                    assert!(!want.is_empty());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "k {k}, {length}/{slide}, eager {eager}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_of_a_nan_attribute_panics() {
+        // Supervision relies on the panic the sort's comparator raised.
+        for k in [1, 2, 4] {
+            for at in 0..4 {
+                let inputs: Vec<Tuple> = (0..4)
+                    .map(|i| pt(if i == at { f64::NAN } else { i as f64 }, 0.0))
+                    .collect();
+                let result =
+                    std::panic::catch_unwind(|| drive(&mut TopK::new(k, 4, 4, 0), &inputs));
+                assert!(result.is_err(), "k {k}, NaN at {at}");
+            }
+        }
+    }
+
+    /// Drives `make()` over a stream, snapshots it mid-stream, restores the
+    /// snapshot into a fresh `make()`, and requires identical later outputs.
+    fn assert_restore_resumes<O: StreamOperator>(make: impl Fn() -> O) {
+        let inputs = tied_stream(90, 1);
+        let (head, tail) = inputs.split_at(37);
+        let mut original = make();
+        drive(&mut original, head);
+        let snap = original.snapshot().expect("windowed operators snapshot");
+        let mut restored = make();
+        assert!(restored.restore(&snap));
+        let (a, b) = (drive(&mut original, tail), drive(&mut restored, tail));
+        assert!(!a.is_empty());
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    #[test]
+    fn topk_snapshot_restore_resumes_identical_outputs() {
+        assert_restore_resumes(|| TopK::new(3, 16, 5, 0));
+        assert_restore_resumes(|| TopK::new(16, 16, 1, 0).eager());
+    }
+
+    #[test]
+    fn skyline_snapshot_restore_resumes_identical_outputs() {
+        assert_restore_resumes(|| Skyline::new(16, 5, 0));
+        assert_restore_resumes(|| Skyline::new(32, 1, 0).eager());
+    }
+
+    #[test]
+    fn windowed_state_is_cleared_by_reset() {
+        let mut op = TopK::new(2, 4, 1, 0);
+        drive(&mut op, &tied_stream(10, 1));
+        op.reset();
+        assert!(drive(&mut op, &tied_stream(3, 1)).is_empty());
+        let mut op = Skyline::new(4, 1, 0);
+        drive(&mut op, &tied_stream(10, 1));
+        op.reset();
+        assert!(drive(&mut op, &tied_stream(3, 1)).is_empty());
     }
 }

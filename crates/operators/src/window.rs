@@ -5,10 +5,16 @@
 //! all the paper's aggregation, spatial and join operators. [`CountWindow`]
 //! is the single-stream buffer; [`KeyedWindows`] maintains one window per
 //! partitioning key (the partitioned-stateful variant).
+//!
+//! The buffer is a ring of `length` slots (a [`VecDeque`]), so sliding by
+//! one item costs O(1) instead of shifting the whole window. Triggered
+//! content is handed out as that ring, iterated oldest first — the order
+//! aggregates fold in and snapshots are written in.
 
 use spinstreams_core::Tuple;
 use spinstreams_runtime::{SnapshotReader, StateSnapshot};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, VecDeque};
 
 /// A count-based sliding window over one stream.
 ///
@@ -27,7 +33,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountWindow {
-    buf: Vec<Tuple>,
+    buf: VecDeque<Tuple>,
     length: usize,
     slide: usize,
     since_trigger: usize,
@@ -45,7 +51,7 @@ impl CountWindow {
         assert!(length > 0, "window length must be positive");
         assert!(slide > 0, "window slide must be positive");
         CountWindow {
-            buf: Vec::with_capacity(length),
+            buf: VecDeque::with_capacity(length),
             length,
             slide,
             since_trigger: 0,
@@ -95,13 +101,14 @@ impl CountWindow {
         self.total
     }
 
-    /// Pushes an item; returns the full window content when the window
-    /// triggers (buffer full and `slide` items since the last trigger).
-    pub fn push(&mut self, item: Tuple) -> Option<&[Tuple]> {
+    /// Pushes an item, evicting the oldest one from a full window in O(1);
+    /// returns the window content (oldest first) when the window triggers
+    /// (buffer full and `slide` items since the last trigger).
+    pub fn push(&mut self, item: Tuple) -> Option<&VecDeque<Tuple>> {
         if self.buf.len() == self.length {
-            self.buf.remove(0);
+            self.buf.pop_front();
         }
-        self.buf.push(item);
+        self.buf.push_back(item);
         self.total += 1;
         self.since_trigger += 1;
         let full_enough = self.eager || self.buf.len() == self.length;
@@ -114,7 +121,7 @@ impl CountWindow {
     }
 
     /// The current buffer content (oldest first), regardless of triggering.
-    pub fn content(&self) -> &[Tuple] {
+    pub fn content(&self) -> &VecDeque<Tuple> {
         &self.buf
     }
 
@@ -126,9 +133,10 @@ impl CountWindow {
     }
 
     /// Appends the window's dynamic state (trigger progress + buffered
-    /// items) to a checkpoint snapshot. Structural parameters (`length`,
-    /// `slide`, eagerness) are construction-time and deliberately not
-    /// encoded: restore targets an identically configured instance.
+    /// items, oldest first) to a checkpoint snapshot. Structural
+    /// parameters (`length`, `slide`, eagerness) are construction-time and
+    /// deliberately not encoded: restore targets an identically configured
+    /// instance.
     pub fn encode_into(&self, snap: &mut StateSnapshot) {
         snap.push_u64(self.since_trigger as u64);
         snap.push_u64(self.total);
@@ -151,7 +159,7 @@ impl CountWindow {
                 self.clear();
                 return false;
             };
-            self.buf.push(t);
+            self.buf.push_back(t);
         }
         self.since_trigger = since as usize;
         self.total = total;
@@ -199,7 +207,7 @@ impl KeyedWindows {
 
     /// Pushes an item into its key's window; returns the triggered window
     /// content, if any.
-    pub fn push(&mut self, item: Tuple) -> Option<&[Tuple]> {
+    pub fn push(&mut self, item: Tuple) -> Option<&VecDeque<Tuple>> {
         let (length, slide, eager) = (self.length, self.slide, self.eager);
         self.windows
             .entry(item.key)
@@ -320,8 +328,99 @@ impl KeyedWindows {
     }
 }
 
+/// The value a stable `values.sort_by(cmp)` would leave at index `idx`,
+/// found by selection in O(n) instead of sorting in O(n log n).
+///
+/// `values` is a scratch copy of one attribute of a window, in window
+/// order; it is left permuted. `cmp` is a `partial_cmp` order that panics
+/// on `NaN`, as the sort's comparator did. Selection and the stable sort
+/// can disagree only among values that compare equal, and the only equal
+/// `f64`s with different bits are `0.0` and `-0.0`. When a zero is
+/// selected, the sort's pick is rebuilt from `in_order` (the same values,
+/// still in window order): the stable sort keeps the zeros in that order.
+pub(crate) fn select_as_sorted(
+    values: &mut [f64],
+    idx: usize,
+    cmp: impl Fn(&f64, &f64) -> Ordering,
+    in_order: impl Iterator<Item = f64>,
+) -> f64 {
+    let v = *values.select_nth_unstable_by(idx, &cmp).1;
+    if v != 0.0 {
+        return v;
+    }
+    let before = values
+        .iter()
+        .filter(|x| cmp(x, &v) == Ordering::Less)
+        .count();
+    in_order
+        .filter(|x| *x == 0.0)
+        .nth(idx - before)
+        .expect("the selected zero is among the window's zeros")
+}
+
+/// Test references: the shift-on-push window the ring replaced, and an
+/// attribute stream full of ties and signed zeros.
+#[cfg(test)]
+pub(crate) mod reference {
+    use spinstreams_core::Tuple;
+
+    /// A count window kept as a `Vec`, evicting with `remove(0)`.
+    pub(crate) struct VecWindow {
+        pub(crate) buf: Vec<Tuple>,
+        length: usize,
+        slide: usize,
+        since_trigger: usize,
+        eager: bool,
+    }
+
+    impl VecWindow {
+        pub(crate) fn new(length: usize, slide: usize, eager: bool) -> Self {
+            VecWindow {
+                buf: Vec::new(),
+                length,
+                slide,
+                since_trigger: 0,
+                eager,
+            }
+        }
+
+        pub(crate) fn push(&mut self, item: Tuple) -> Option<&[Tuple]> {
+            if self.buf.len() == self.length {
+                self.buf.remove(0);
+            }
+            self.buf.push(item);
+            self.since_trigger += 1;
+            let full_enough = self.eager || self.buf.len() == self.length;
+            if full_enough && self.since_trigger >= self.slide {
+                self.since_trigger = 0;
+                Some(&self.buf)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// `n` tuples over keys `0..keys` whose `values[0]` are drawn from a
+    /// small set with duplicates and both signed zeros.
+    pub(crate) fn tied_stream(n: u64, keys: u64) -> Vec<Tuple> {
+        const VALUES: [f64; 8] = [0.0, -0.0, 1.0, 2.0, 2.0, 3.5, -1.0, 0.25];
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        (0..n)
+            .map(|seq| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let mut t = Tuple::splat(x % keys, seq, VALUES[(x >> 32) as usize % 8]);
+                t.values[1] = (x >> 40) as f64;
+                t
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{tied_stream, VecWindow};
     use super::*;
 
     fn t(seq: u64, v: f64) -> Tuple {
@@ -543,6 +642,133 @@ mod tests {
         let mut r = truncated.reader();
         assert!(!w2.decode_from(&mut r));
         assert!(w2.is_empty(), "failed decode must leave a clean window");
+    }
+
+    /// The encoding `encode_into` wrote before the ring: header, then the
+    /// buffered tuples oldest first.
+    fn oldest_first_encoding(since: u64, total: u64, items: &[Tuple]) -> StateSnapshot {
+        let mut s = StateSnapshot::new();
+        s.push_u64(since);
+        s.push_u64(total);
+        s.push_u64(items.len() as u64);
+        for t in items {
+            s.push_tuple(t);
+        }
+        s
+    }
+
+    #[test]
+    fn wrapped_ring_matches_shifting_window() {
+        for eager in [false, true] {
+            for (length, slide) in [(1, 1), (4, 1), (5, 3), (8, 8), (32, 1), (100, 10)] {
+                let mut ring = CountWindow::new(length, slide);
+                if eager {
+                    ring = ring.eager();
+                }
+                let mut shifting = VecWindow::new(length, slide, eager);
+                let items = tied_stream(3 * length as u64 + 7, 1);
+                let mut since = 0;
+                for (i, it) in items.iter().enumerate() {
+                    let got = ring
+                        .push(*it)
+                        .map(|w| w.iter().copied().collect::<Vec<_>>());
+                    let want = shifting.push(*it).map(<[Tuple]>::to_vec);
+                    since = if want.is_some() { 0 } else { since + 1 };
+                    assert_eq!(got, want, "eager {eager}, {length}/{slide}, item {i}");
+                }
+                // Wrapped at least three times: still encoded oldest first.
+                let mut snap = StateSnapshot::new();
+                ring.encode_into(&mut snap);
+                let want = oldest_first_encoding(since, items.len() as u64, &shifting.buf);
+                assert_eq!(snap, want, "eager {eager}, {length}/{slide}");
+                // And a restored ring continues identically.
+                let mut restored = CountWindow::new(length, slide);
+                if eager {
+                    restored = restored.eager();
+                }
+                assert!(restored.decode_from(&mut snap.reader()));
+                for it in tied_stream(2 * length as u64 + 3, 1) {
+                    assert_eq!(
+                        ring.push(it).map(|w| w.iter().copied().collect::<Vec<_>>()),
+                        restored
+                            .push(it)
+                            .map(|w| w.iter().copied().collect::<Vec<_>>()),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_keyed_rings_roundtrip_restore_merge_and_extract() {
+        for eager in [false, true] {
+            let fresh = || {
+                let kw = KeyedWindows::new(4, 3);
+                if eager {
+                    kw.eager()
+                } else {
+                    kw
+                }
+            };
+            // Every key's ring wraps at least three times (4 keys, 4-slot
+            // windows, ~100 items).
+            let (head, tail) = (tied_stream(100, 4), tied_stream(60, 4));
+            let mut original = fresh();
+            for it in &head {
+                original.push(*it);
+            }
+            let mut snap = StateSnapshot::new();
+            original.encode_into(&mut snap);
+            // Key table layout: per key, exactly the oldest-first encoding.
+            let mut expected = StateSnapshot::new();
+            expected.push_u64(original.num_keys() as u64);
+            for key in 0..4 {
+                let mut model = VecWindow::new(4, 3, eager);
+                let mut triggers = 0;
+                let mine: Vec<Tuple> = head.iter().filter(|t| t.key == key).copied().collect();
+                for it in &mine {
+                    triggers = if model.push(*it).is_some() {
+                        0
+                    } else {
+                        triggers + 1
+                    };
+                }
+                expected.push_u64(key);
+                let body = oldest_first_encoding(triggers, mine.len() as u64, &model.buf);
+                let mut r = body.reader();
+                while let Some(word) = r.read_u64() {
+                    expected.push_u64(word);
+                }
+            }
+            assert_eq!(snap, expected, "eager {eager}");
+
+            let mut restored = fresh();
+            assert!(restored.decode_from(&mut snap.reader()));
+            let mut donor = fresh();
+            assert!(donor.decode_from(&mut snap.reader()));
+            let mut moved = StateSnapshot::new();
+            donor.extract_keys_into(&[1, 3], &mut moved);
+            let mut recipient = fresh();
+            assert!(recipient.merge_from(&mut moved.reader()));
+            for it in &tail {
+                let want = original
+                    .push(*it)
+                    .map(|w| w.iter().copied().collect::<Vec<_>>());
+                let got = restored
+                    .push(*it)
+                    .map(|w| w.iter().copied().collect::<Vec<_>>());
+                assert_eq!(got, want, "restored, eager {eager}");
+                let owner = if it.key % 2 == 1 {
+                    &mut recipient
+                } else {
+                    &mut donor
+                };
+                let split = owner
+                    .push(*it)
+                    .map(|w| w.iter().copied().collect::<Vec<_>>());
+                assert_eq!(split, want, "extract + merge, eager {eager}");
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,48 @@ fn bench_simulation(c: &mut Criterion) {
             )
         })
     });
+    // The testbed's DES mode: declared work only (`intrinsic_time` off, no
+    // host-clock reads), a probabilistic split into a round-robin fan-out
+    // over three replicas and a unicast branch, then a sink. 20k items.
+    g.bench_function("fanout_no_intrinsic", |b| {
+        b.iter(|| {
+            let mut graph = ActorGraph::new();
+            let s = graph.add_actor(
+                "src",
+                Behavior::Source(SourceConfig::new(1_000_000.0, 20_000)),
+            );
+            let split = graph.add_actor("split", Behavior::worker(PassThrough));
+            let emitter = graph.add_actor("emitter", Behavior::worker(PassThrough));
+            let side = graph.add_actor("side", Behavior::worker(PassThrough));
+            let sink = graph.add_actor("sink", Behavior::worker(PassThrough));
+            let replicas: Vec<_> = (0..3)
+                .map(|i| graph.add_actor(format!("r{i}"), Behavior::worker(PassThrough)))
+                .collect();
+            graph.connect(s, Route::Unicast(split));
+            graph.connect(
+                split,
+                Route::Probabilistic {
+                    choices: vec![(emitter, 0.6), (side, 0.4)],
+                },
+            );
+            graph.connect(emitter, Route::RoundRobin(replicas.clone()));
+            for &r in replicas.iter().chain([&side]) {
+                graph.connect(r, Route::Unicast(sink));
+            }
+            black_box(
+                simulate(
+                    graph,
+                    &SimConfig {
+                        mailbox_capacity: 32,
+                        seed: 1,
+                        intrinsic_time: false,
+                        ..SimConfig::default()
+                    },
+                )
+                .unwrap(),
+            )
+        })
+    });
     g.finish();
 }
 

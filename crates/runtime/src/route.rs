@@ -117,8 +117,13 @@ impl RouteState {
                 choices[idx].0
             }
             Route::RoundRobin(ds) => {
-                let d = ds[self.rr_next % ds.len()];
-                self.rr_next = (self.rr_next + 1) % ds.len();
+                // `rr_next` starts at 0 and stays below `ds.len()` (a route
+                // swap builds a fresh state), so a compare replaces `%`.
+                let d = ds[self.rr_next];
+                self.rr_next += 1;
+                if self.rr_next == ds.len() {
+                    self.rr_next = 0;
+                }
                 d
             }
             Route::KeyMap {
@@ -172,6 +177,22 @@ mod tests {
                 ActorId(3)
             ]
         );
+    }
+
+    #[test]
+    fn round_robin_matches_the_modulo_sequence() {
+        for len in [1usize, 2, 3, 7] {
+            let ds: Vec<ActorId> = (0..len).map(|i| ActorId(10 + i)).collect();
+            let mut s = RouteState::new(Route::RoundRobin(ds.clone()));
+            let mut rng = XorShift64::new(1);
+            for n in 0..5 * len + 1 {
+                assert_eq!(
+                    s.pick(&tuple(0), &mut rng),
+                    ds[n % len],
+                    "len {len}, pick {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * a send into a full mailbox blocks the sender until a slot frees
 //!   (Blocking After Service, §3) — in virtual time;
 //! * service times are the operators' declared synthetic work
-//!   ([`synthetic_work`]) plus their real measured compute time;
+//!   ([`synthetic_work`]), plus their real measured compute time when
+//!   [`SimConfig::intrinsic_time`] is on;
 //! * actors are perfectly parallel: any number can be busy at the same
 //!   virtual instant, exactly the dedicated-thread assumption of §5.1.
 //!
@@ -49,7 +50,9 @@ pub struct SimConfig {
     /// service time (the default, and the faithful model). Disable to make
     /// service times purely the declared synthetic work, which renders the
     /// whole simulation — including telemetry snapshots — bit-for-bit
-    /// reproducible across runs and hosts.
+    /// reproducible across runs and hosts. With it off the simulator never
+    /// reads the host clock while events run; the only reading is the
+    /// report's [`crate::RunReport::started_at`], taken once at the end.
     pub intrinsic_time: bool,
     /// Accepted for configuration parity with
     /// [`crate::EngineConfig::batch_size`], and **ignored**: envelope
@@ -108,7 +111,9 @@ struct SimActor {
     cap: usize,
     waiters: VecDeque<usize>,
     pending: VecDeque<(usize, Tuple)>,
-    in_flight: Vec<(usize, Tuple)>,
+    /// Outputs of the last service (or source emission) awaiting route
+    /// resolution; reused across events so the hot path never allocates.
+    in_flight: Outputs,
     routes: Vec<RouteState>,
     route_rng: XorShift64,
     state: AState,
@@ -176,7 +181,6 @@ struct Sim {
     actors: Vec<SimActor>,
     heap: BinaryHeap<Event>,
     seq: u64,
-    out_buf: Outputs,
     end_time: u64,
     /// Present only with telemetry enabled.
     hub: Option<Arc<TelemetryHub>>,
@@ -249,35 +253,36 @@ impl Sim {
             .filter(|&e| e > 0)
     }
 
-    /// Runs the operator on one item, returning the virtual service time.
-    fn run_operator(&mut self, a: usize, item: Tuple) -> u64 {
+    /// Runs the operator on one item (or, with `item` absent, flushes it at
+    /// end of stream) straight into the actor's reused `in_flight` buffer,
+    /// returning the virtual service time. The host clock is read only
+    /// when intrinsic time is on.
+    fn run_operator(&mut self, a: usize, item: Option<Tuple>) -> u64 {
         crate::operators::take_virtual_work_ns();
-        let src_ns = item.src_ns;
-        let t0 = Instant::now();
-        let mut out = std::mem::take(&mut self.out_buf);
+        // Flush outputs have no input stamp to inherit (`0` is a no-op).
+        let src_ns = item.map_or(0, |item| item.src_ns);
+        let t0 = self.intrinsic_time.then(Instant::now);
+        let actor = &mut self.actors[a];
+        let out = &mut actor.in_flight;
         out.clear();
-        if let Kind::Worker { op } = &mut self.actors[a].kind {
-            op.process(item, &mut out);
+        if let Kind::Worker { op } = &mut actor.kind {
+            match item {
+                Some(item) => op.process(item, out),
+                None => op.flush(out),
+            }
         }
-        let intrinsic = if self.intrinsic_time {
-            t0.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
+        let intrinsic = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         let virt = crate::operators::take_virtual_work_ns();
         out.inherit_stamp(src_ns);
-        self.actors[a].in_flight.clear();
-        let in_flight: Vec<(usize, Tuple)> = out.drain().collect();
-        self.actors[a].in_flight = in_flight;
-        self.out_buf = out;
         intrinsic + virt
     }
 
     /// Moves the in-flight outputs into the pending queue, resolving each
-    /// item's destination (sink emissions are recorded immediately).
+    /// item's destination (sink emissions are recorded immediately). The
+    /// drained buffer goes back to the actor, keeping its capacity.
     fn resolve_outputs(&mut self, a: usize, now: u64) {
-        let in_flight = std::mem::take(&mut self.actors[a].in_flight);
-        for (port, item) in in_flight {
+        let mut in_flight = std::mem::take(&mut self.actors[a].in_flight);
+        for (port, item) in in_flight.drain() {
             if port < self.actors[a].routes.len() {
                 let actor = &mut self.actors[a];
                 let dest = actor.routes[port].pick(&item, &mut actor.route_rng);
@@ -292,6 +297,7 @@ impl Sim {
                 self.actors[a].record_out(now);
             }
         }
+        self.actors[a].in_flight = in_flight;
     }
 
     /// Attempts to drain the pending deliveries of `a`; blocks (in virtual
@@ -374,7 +380,7 @@ impl Sim {
         }
         self.actors[a].state = AState::Busy;
         self.wake_waiters(a, now);
-        let service = self.run_operator(a, item);
+        let service = self.run_operator(a, Some(item));
         self.actors[a].busy_ns += service;
         self.push_event(now + service, a, Ev::ServiceDone);
     }
@@ -410,23 +416,8 @@ impl Sim {
             return;
         }
         self.actors[a].finished = true;
-        crate::operators::take_virtual_work_ns();
-        let t0 = Instant::now();
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        if let Kind::Worker { op } = &mut self.actors[a].kind {
-            op.flush(&mut out);
-        }
-        let intrinsic = if self.intrinsic_time {
-            t0.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        let flush_ns = intrinsic + crate::operators::take_virtual_work_ns();
+        let flush_ns = self.run_operator(a, None);
         self.actors[a].busy_ns += flush_ns;
-        let in_flight: Vec<(usize, Tuple)> = out.drain().collect();
-        self.out_buf = out;
-        self.actors[a].in_flight = in_flight;
         self.resolve_outputs(a, now);
         self.deliver_pending(a, now);
     }
@@ -471,7 +462,7 @@ impl Sim {
         } else {
             tuple
         };
-        self.actors[a].in_flight.push((0, tuple));
+        self.actors[a].in_flight.emit(0, tuple);
         self.resolve_outputs(a, now);
         self.deliver_pending(a, now);
     }
@@ -496,7 +487,7 @@ pub fn simulate(graph: ActorGraph, config: &SimConfig) -> Result<RunReport, Engi
     simulate_with(graph, config, None).map(|(report, _)| report)
 }
 
-///// Like [`simulate`], but with the telemetry layer enabled: snapshots are
+/// Like [`simulate`], but with the telemetry layer enabled: snapshots are
 /// taken at exact virtual-clock boundaries (every `telemetry.interval` of
 /// *virtual* time, plus one at end of run), so the sampled telemetry is as
 /// deterministic as the simulation itself — bit-for-bit reproducible given
@@ -551,7 +542,6 @@ fn simulate_with(
         actors: Vec::with_capacity(n),
         heap: BinaryHeap::new(),
         seq: 0,
-        out_buf: Outputs::new(),
         end_time: 0,
         hub: hub.clone(),
         stamp: hub.is_some(),
@@ -597,7 +587,7 @@ fn simulate_with(
             cap,
             waiters: VecDeque::new(),
             pending: VecDeque::new(),
-            in_flight: Vec::new(),
+            in_flight: Outputs::new(),
             routes: spec.routes.into_iter().map(RouteState::new).collect(),
             route_rng: XorShift64::new(config.seed.wrapping_add(i as u64)),
             state: AState::Idle,

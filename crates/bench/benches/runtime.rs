@@ -1,16 +1,16 @@
 //! Criterion micro-benchmarks of the runtime substrate: mailbox transfer
 //! cost, meta-operator dispatch, end-to-end virtual-time simulation
-//! throughput (events/second of the DES engine), and the per-tuple
-//! bookkeeping beside the kernels: source key sampling and count-window
-//! slides.
+//! throughput (events/second of the DES engine), the per-tuple
+//! bookkeeping beside the kernels (source key sampling and count-window
+//! slides), and the wall-clock source's emission rate, paced and unpaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spinstreams_core::{KeyDistribution, Tuple};
 use spinstreams_operators::CountWindow;
 use spinstreams_runtime::operators::PassThrough;
 use spinstreams_runtime::{
-    channel, simulate, ActorGraph, Behavior, Envelope, MetaDest, MetaOperator, MetaRoute, Outputs,
-    Route, SimConfig, SourceConfig, StreamOperator,
+    channel, run, simulate, ActorGraph, Behavior, EngineConfig, Envelope, ExecutorKind, MetaDest,
+    MetaOperator, MetaRoute, Outputs, Route, SimConfig, SourceConfig, StreamOperator,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -171,12 +171,48 @@ fn bench_count_window(c: &mut Criterion) {
     g.finish();
 }
 
+/// Tuples per `source_emission` iteration.
+const EMISSION_TUPLES: u64 = 500_000;
+
+fn bench_source_emission(c: &mut Criterion) {
+    // What pacing costs the source thread: src → pass-through sink on a
+    // one-worker pool at batch 64, zipf(1024) keys. The source is the
+    // bottleneck, so tuples/s = EMISSION_TUPLES / (ns/iter) · 1e9. A source
+    // declared at 10 M/s that paces cheaply emits close to `unpaced`.
+    let mut g = c.benchmark_group("source_emission");
+    g.sample_size(10);
+    let cfg = EngineConfig {
+        executor: ExecutorKind::Pool { workers: 1 },
+        batch_size: 64,
+        ..EngineConfig::default()
+    };
+    for (name, rate) in [
+        ("paced_3m", 3e6),
+        ("paced_10m", 1e7),
+        ("unpaced", f64::INFINITY),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut graph = ActorGraph::new();
+                let source = SourceConfig::new(rate, EMISSION_TUPLES)
+                    .with_keys(KeyDistribution::zipf(1024, 0.9));
+                let s = graph.add_actor("src", Behavior::Source(source));
+                let k = graph.add_actor("sink", Behavior::worker(PassThrough));
+                graph.connect(s, Route::Unicast(k));
+                black_box(run(graph, &cfg).unwrap())
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_mailbox,
     bench_meta_operator,
     bench_simulation,
     bench_key_sampling,
-    bench_count_window
+    bench_count_window,
+    bench_source_emission
 );
 criterion_main!(benches);

@@ -32,6 +32,19 @@ impl fmt::Display for ActorId {
 pub struct SourceConfig {
     /// Nominal generation rate in items/s (`f64::INFINITY` = as fast as
     /// possible). Backpressure can force the actual rate lower.
+    ///
+    /// A finite rate is an absolute schedule: item `i` is due `i / rate`
+    /// seconds after the source starts. The wall-clock engine keeps it as
+    /// follows:
+    ///
+    /// * the source is never ahead of its schedule, only behind it;
+    /// * it reads the clock once per burst of at most `batch_size` items
+    ///   to learn how many are due, and sleeps only when none is;
+    /// * after falling more than 50 ms behind (backpressure, not timer
+    ///   jitter) it re-bases the schedule at the current time instead of
+    ///   bursting to catch up;
+    /// * with telemetry on, a paced source stamps each item at its
+    ///   emission, while an unpaced one stamps each burst with one reading.
     pub rate: f64,
     /// Total number of items to generate before signalling end-of-stream.
     pub count: u64,

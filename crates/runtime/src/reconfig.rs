@@ -14,7 +14,7 @@
 //! * **Key handoff (pause–drain–resume)** — when a `KeyMap` swap moves
 //!   keys between partitioned-stateful replicas, the old owner extracts
 //!   the moving keys' state at its own alignment of the same epoch and
-//!   publishes it out-of-band in the shared [`ReconfigShared::handoffs`]
+//!   publishes it out-of-band in the shared `ReconfigShared::handoffs`
 //!   map; the emitter *pauses* post-swap tuples of the moving keys until
 //!   every expected handoff is published, then pushes one in-band
 //!   [`Envelope::Handoff`](crate::mailbox::Envelope) ordering token to
@@ -29,7 +29,7 @@
 //! never-emitting second emitter port), so the wiring — mailboxes, EOS
 //! counts, alignment quorums — is static while activity is dynamic.
 //!
-//! With no handle installed ([`EngineConfig::reconfig`] is `None`,
+//! With no handle installed ([`crate::EngineConfig::reconfig`] is `None`,
 //! the default) the hot path carries a single `Option` check per batch.
 
 use crate::checkpoint::StateSnapshot;

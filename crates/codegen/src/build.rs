@@ -90,6 +90,14 @@ pub enum CodegenError {
         /// Description of the problem.
         reason: String,
     },
+    /// The source would emit at a rate the runtime cannot pace: zero (an
+    /// output selectivity of 0), negative, or NaN.
+    BadSourceRate {
+        /// The source operator.
+        operator: OperatorId,
+        /// Its emission rate, items/s.
+        rate: f64,
+    },
 }
 
 impl fmt::Display for CodegenError {
@@ -102,6 +110,12 @@ impl fmt::Display for CodegenError {
                 write!(f, "operator {operator} has unknown kind {kind:?}")
             }
             CodegenError::BadFusionGroup { reason } => write!(f, "bad fusion group: {reason}"),
+            CodegenError::BadSourceRate { operator, rate } => {
+                write!(
+                    f,
+                    "source {operator} emits at {rate} items/s; it must be positive"
+                )
+            }
         }
     }
 }
@@ -320,6 +334,12 @@ pub fn build_actor_graph(
             // selectivity rate factor (§3.4 applies selectivity to
             // departures); the runtime source only models the emission side.
             let emit_rate = spec.service_rate().items_per_sec() * spec.selectivity.rate_factor();
+            if emit_rate.is_nan() || emit_rate <= 0.0 {
+                return Err(CodegenError::BadSourceRate {
+                    operator: id,
+                    rate: emit_rate,
+                });
+            }
             let mut cfg = SourceConfig::new(emit_rate, opts.items).with_seed(opts.seed);
             if let Some(keys) = &source_keys {
                 cfg = cfg.with_keys(keys.clone());
@@ -557,6 +577,28 @@ mod tests {
             mailbox_capacity: 64,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn zero_rate_source_is_an_error_not_a_panic() {
+        // Output selectivity 0 is valid in the model (the source emits
+        // nothing), but the runtime cannot pace a source at rate 0.
+        let mut b = Topology::builder();
+        let s = b.add_operator(
+            spec("src", "source", 0.05)
+                .with_selectivity(spinstreams_core::Selectivity::output(0.0)),
+        );
+        let k = b.add_operator(spec("sink", "identity-map", 0.01));
+        b.add_edge(s, k, 1.0).unwrap();
+        let t = b.build().unwrap();
+        let err = build_actor_graph(&t, None, &[], &[], &CodegenOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            CodegenError::BadSourceRate {
+                operator: s,
+                rate: 0.0
+            }
+        );
     }
 
     #[test]

@@ -96,12 +96,12 @@ pub struct EngineConfig {
     /// amortize one lock acquisition and condvar notify over the whole
     /// batch, trading a bounded amount of per-tuple latency for
     /// throughput. Values of `0` are treated as `1`.
+    ///
+    /// The value is the cap, not a target: workers flush after every
+    /// drained input batch, and a paced source hands over what it holds
+    /// before every sleep, so a slow stream's batches size themselves to
+    /// the emissions due per wake-up.
     pub batch_size: usize,
-    /// Deadline for coalesced output: a paced source flushes its buffers
-    /// before sleeping if they have been held at least this long, so slow
-    /// streams never stall behind an unfilled batch. Irrelevant at
-    /// `batch_size = 1`.
-    pub flush_interval: Duration,
     /// Which executor runs the graph (thread-per-actor by default).
     pub executor: ExecutorKind,
     /// Epoch-aligned checkpointing: every source injects a numbered epoch
@@ -151,7 +151,6 @@ impl Default for EngineConfig {
             seed: 0xC0FFEE,
             dead_letter_capacity: 4096,
             batch_size: 1,
-            flush_interval: Duration::from_millis(1),
             executor: ExecutorKind::ThreadPerActor,
             checkpoint_interval: None,
             replay_capacity: 8192,
@@ -209,6 +208,14 @@ pub enum EngineError {
     },
     /// The actor graph contains a cycle; BAS blocking could deadlock.
     Cyclic,
+    /// A source's configuration cannot be run (for example a rate that is
+    /// NaN, not positive, or too small to give a schedulable period).
+    InvalidSource {
+        /// The source actor.
+        actor: ActorId,
+        /// Description of the problem.
+        reason: String,
+    },
     /// An actor thread died in a way supervision could not contain (for
     /// example a panic inside a restart hook). [`run`] reports this
     /// instead of panicking the caller.
@@ -235,6 +242,9 @@ impl fmt::Display for EngineError {
                 write!(f, "invalid route on {from}: {reason}")
             }
             EngineError::Cyclic => write!(f, "actor graph contains a cycle"),
+            EngineError::InvalidSource { actor, reason } => {
+                write!(f, "invalid source {actor}: {reason}")
+            }
             EngineError::ActorFailed { actor, reason } => {
                 write!(f, "{actor} failed: {reason}")
             }
@@ -255,6 +265,14 @@ pub(crate) fn validate(actors: &[ActorSpec]) -> Result<(), EngineError> {
     let n = actors.len();
     for (i, spec) in actors.iter().enumerate() {
         let from = ActorId(i);
+        if let Behavior::Source(cfg) = &spec.behavior {
+            if let Err(reason) = cfg.period() {
+                return Err(EngineError::InvalidSource {
+                    actor: from,
+                    reason,
+                });
+            }
+        }
         for route in &spec.routes {
             let mut dests = route.destinations_iter().peekable();
             if dests.peek().is_none() {
@@ -347,8 +365,6 @@ struct DeliveryCtx {
     stamp: bool,
     /// Envelopes coalesced per destination before a mailbox handoff.
     batch_size: usize,
-    /// Deadline after which a paced source flushes an unfilled batch.
-    flush_interval: Duration,
     /// Per-destination coalescing buffers (indexed by actor id; only the
     /// slots of reachable destinations are ever used). Reachable slots are
     /// checked out of `buf_pool` pre-sized to the batch limit, so the
@@ -359,10 +375,6 @@ struct DeliveryCtx {
     buf_pool: Arc<BatchPool>,
     /// Total envelopes currently coalesced across all buffers.
     buffered: usize,
-    /// When a source last drained its coalescing buffers (deadline
-    /// policy). Only sources consult it, so only they refresh it: workers
-    /// flush after every drained input batch and never read the clock for it.
-    last_flush: Instant,
     /// Clock reading taken once per drained input batch (worker actors
     /// only; `0` = never refreshed). Sink-port latency/departure stamping
     /// uses this instead of one `Instant::now()` per envelope, bounding
@@ -581,9 +593,9 @@ impl DeliveryCtx {
     }
 
     /// Drains every coalescing buffer. Called after each processed input
-    /// batch, before EOS propagation, and on supervision events, so
-    /// nothing ever sits buffered across a restart, a backoff sleep, or
-    /// shutdown.
+    /// batch, by a paced source before it sleeps, before EOS propagation,
+    /// and on supervision events, so nothing ever sits buffered across a
+    /// sleep, a restart, a backoff, or shutdown.
     fn flush_all(&mut self) {
         if self.pending_sink_outs > 0 {
             self.metrics
@@ -607,19 +619,6 @@ impl DeliveryCtx {
                 hist.record_n(self.pending_lat_ns, self.pending_lat_n);
             }
             self.pending_lat_n = 0;
-        }
-    }
-
-    /// Deadline policy for paced sources: flush unfilled batches before
-    /// sleeping until `wake_at` if they would otherwise be held past
-    /// `flush_interval`, so a slow stream never stalls behind coalescing.
-    fn flush_before_sleep(&mut self, wake_at: Instant) {
-        if self.batch_size > 1
-            && self.buffered > 0
-            && wake_at.saturating_duration_since(self.last_flush) >= self.flush_interval
-        {
-            self.flush_all();
-            self.last_flush = Instant::now();
         }
     }
 
@@ -740,16 +739,13 @@ fn due_emissions(next_t: &mut Instant, now: Instant, period: Duration, cap: u64)
 /// The source emits in bursts of at most `batch_size` tuples, cut at every
 /// checkpoint-marker boundary. A paced source reads the clock once per
 /// burst to learn how many emissions are due (see [`due_emissions`]) and
-/// sleeps only when none is, flushing a batch held past the deadline
-/// first; inside a burst there is no clock read and no sleep check.
+/// sleeps only when none is, handing over everything it holds first; so
+/// its batches hold the emissions due per wake-up, up to `batch_size`.
+/// Inside a burst there is no clock read and no sleep check.
 fn run_source(cfg: SourceConfig, mut ctx: DeliveryCtx) -> DeadLetterLog {
     ctx.trace_event(TraceEventKind::ActorStarted);
     let mut rng = XorShift64::new(cfg.seed);
-    let period = if cfg.rate.is_finite() {
-        Some(Duration::from_secs_f64(1.0 / cfg.rate))
-    } else {
-        None
-    };
+    let period = cfg.period().expect("validated source rate");
     let burst_cap = ctx.batch_size.max(1) as u64;
     let mut next_t = Instant::now();
     let mut seq = 0u64;
@@ -761,7 +757,9 @@ fn run_source(cfg: SourceConfig, mut ctx: DeliveryCtx) -> DeadLetterLog {
         if let Some(p) = period {
             burst = due_emissions(&mut next_t, Instant::now(), p, burst);
             if burst == 0 {
-                ctx.flush_before_sleep(next_t);
+                // Nothing is due: hand over everything held before sleeping,
+                // so a coalesced tuple never waits out a sleep.
+                ctx.flush_all();
                 thread::sleep(next_t.saturating_duration_since(Instant::now()));
                 continue;
             }
@@ -801,9 +799,7 @@ fn run_source(cfg: SourceConfig, mut ctx: DeliveryCtx) -> DeadLetterLog {
         if let Some(interval) = ctx.checkpoint_interval {
             if seq.is_multiple_of(interval) {
                 let epoch = seq / interval;
-                // The broadcast drained every buffer: restart the deadline.
                 ctx.broadcast_marker(epoch);
-                ctx.last_flush = Instant::now();
                 if let Some(c) = &ctx.coordinator {
                     c.ack(ctx.id.0, epoch);
                 }
@@ -2699,11 +2695,9 @@ fn run_graphs(
                 trace: hub.as_ref().map(|h| Arc::clone(&h.trace)),
                 stamp: hub.is_some(),
                 batch_size: config.batch_size.max(1),
-                flush_interval: config.flush_interval,
                 out_bufs,
                 buf_pool: Arc::clone(&buf_pool),
                 buffered: 0,
-                last_flush: started_at,
                 cached_now_ns: 0,
                 pending_sink_outs: 0,
                 pending_lat_ns: 0,
@@ -3304,6 +3298,52 @@ mod tests {
                     measured <= 1.02 * rate,
                     "{label}: measured source rate {measured} runs ahead of {rate}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn paced_source_hands_over_its_batch_before_sleeping() {
+        // 5 k/s is one tuple per 200 µs, far below a 64-tuple batch: the
+        // source sleeps between emissions, so each tuple must leave before
+        // that sleep instead of waiting for the batch to fill.
+        for (label, executor) in [
+            ("threads", ExecutorKind::ThreadPerActor),
+            ("pool-1", ExecutorKind::Pool { workers: 1 }),
+        ] {
+            let mut g = ActorGraph::new();
+            let s = g.add_actor("src", Behavior::Source(SourceConfig::new(5_000.0, 250)));
+            let k = g.add_actor("sink", Behavior::worker(PassThrough));
+            g.connect(s, Route::Unicast(k));
+            let cfg = EngineConfig {
+                executor,
+                batch_size: 64,
+                ..fast_cfg()
+            };
+            let (r, tel) = run_with_telemetry(g, &cfg, &TelemetryConfig::default()).unwrap();
+            assert_eq!(r.actor(k).items_in, 250, "{label}");
+            let lat = &tel.snapshots.last().unwrap().latencies[0].latency;
+            assert_eq!(lat.count, 250, "{label}");
+            assert!(
+                lat.p50_ns < 200_000,
+                "{label}: sink p50 latency {} ns; tuples waited in the source's batch",
+                lat.p50_ns
+            );
+        }
+    }
+
+    #[test]
+    fn source_rates_that_cannot_be_paced_are_rejected() {
+        for rate in [f64::NAN, 0.0, -1.0, f64::NEG_INFINITY, 1e-30] {
+            let mut g = ActorGraph::new();
+            let mut cfg = SourceConfig::new(1.0, 10);
+            cfg.rate = rate;
+            let s = g.add_actor("src", Behavior::Source(cfg));
+            let k = g.add_actor("sink", Behavior::worker(PassThrough));
+            g.connect(s, Route::Unicast(k));
+            match run(g, &fast_cfg()) {
+                Err(EngineError::InvalidSource { actor, .. }) => assert_eq!(actor, s),
+                other => panic!("rate {rate}: expected InvalidSource, got {other:?}"),
             }
         }
     }

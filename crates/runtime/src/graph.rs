@@ -9,6 +9,7 @@ use crate::supervision::{OperatorFactory, SupervisorSpec};
 use crate::{Route, StreamOperator};
 use spinstreams_core::KeyDistribution;
 use std::fmt;
+use std::time::Duration;
 
 /// Identifier of an actor within one [`ActorGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,6 +41,10 @@ pub struct SourceConfig {
     /// * the source is never ahead of its schedule, only behind it;
     /// * it reads the clock once per burst of at most `batch_size` items
     ///   to learn how many are due, and sleeps only when none is;
+    /// * it never holds a coalesced item across a sleep: before every
+    ///   sleep it hands over everything it has buffered, so its batches
+    ///   hold the items due per wake-up, with `batch_size` as the cap (a
+    ///   source that is behind never sleeps and sends full batches);
     /// * after falling more than 50 ms behind (backpressure, not timer
     ///   jitter) it re-bases the schedule at the current time instead of
     ///   bursting to catch up;
@@ -82,6 +87,24 @@ impl SourceConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The pacing period `1 / rate`, `None` for an unpaced source (rate
+    /// `+∞`). Errors for a rate that cannot pace a source: NaN, not
+    /// positive, or so small that the period overflows the engine's
+    /// nanosecond schedule (about 584 years).
+    pub(crate) fn period(&self) -> Result<Option<Duration>, String> {
+        if self.rate == f64::INFINITY {
+            return Ok(None);
+        }
+        if self.rate.is_nan() || self.rate <= 0.0 {
+            return Err(format!("rate must be positive, got {}", self.rate));
+        }
+        Duration::try_from_secs_f64(1.0 / self.rate)
+            .ok()
+            .filter(|p| p.as_nanos() <= u128::from(u64::MAX))
+            .map(Some)
+            .ok_or_else(|| format!("rate {} gives a period too long to schedule", self.rate))
     }
 }
 

@@ -7,8 +7,8 @@ use spinstreams::analysis::DriftConfig;
 use spinstreams::core::{KeyDistribution, OperatorSpec, ServiceTime, Topology};
 use spinstreams::runtime::operators::{FnOperator, PassThrough};
 use spinstreams::runtime::{
-    run, ActorGraph, Behavior, EngineConfig, Executor, Outputs, Route, SimConfig, SourceConfig,
-    TelemetryConfig,
+    run, ActorGraph, Behavior, EngineConfig, Executor, ExecutorKind, Outputs, Route, SimConfig,
+    SourceConfig, TelemetryConfig,
 };
 use spinstreams::tool::predict_vs_measure_telemetry;
 use std::sync::{Arc, Mutex};
@@ -30,9 +30,14 @@ fn engine_cfg(batch_size: usize) -> EngineConfig {
 /// path, so its arrival order at the sink is fully determined — at every
 /// batch size.
 fn run_keyed(batch_size: usize, items: u64) -> Vec<(u64, u64)> {
+    run_keyed_on(f64::INFINITY, items, &engine_cfg(batch_size))
+}
+
+/// [`run_keyed`] with a source declared at `rate` items/s, on `engine`.
+fn run_keyed_on(rate: f64, items: u64, engine: &EngineConfig) -> Vec<(u64, u64)> {
     let arrivals: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut g = ActorGraph::new();
-    let cfg = SourceConfig::new(f64::INFINITY, items).with_keys(KeyDistribution::uniform(8));
+    let cfg = SourceConfig::new(rate, items).with_keys(KeyDistribution::uniform(8));
     let s = g.add_actor("src", Behavior::Source(cfg));
     let r0 = g.add_actor("r0", Behavior::worker(PassThrough));
     let r1 = g.add_actor("r1", Behavior::worker(PassThrough));
@@ -56,7 +61,7 @@ fn run_keyed(batch_size: usize, items: u64) -> Vec<(u64, u64)> {
     );
     g.connect(r0, Route::Unicast(k));
     g.connect(r1, Route::Unicast(k));
-    let report = run(g, &engine_cfg(batch_size)).unwrap();
+    let report = run(g, engine).unwrap();
     assert_eq!(report.actor(k).items_in, items, "no items lost or dropped");
     assert_eq!(report.total_dropped(), 0);
     Arc::try_unwrap(arrivals).unwrap().into_inner().unwrap()
@@ -90,6 +95,55 @@ fn keyed_delivery_counts_and_per_key_order_match_across_batch_sizes() {
             base_seqs,
             "batch {batch}: per-key order must match the unbatched run"
         );
+    }
+}
+
+/// A paced source sleeps between bursts and hands over what it holds
+/// before every sleep, so its batches are cut by the clock rather than by
+/// `batch_size`. Where the cut falls must not change what arrives.
+#[test]
+fn paced_keyed_delivery_counts_and_per_key_order_match_across_batch_sizes() {
+    let items = 5_000;
+    let per_key = |arrivals: &[(u64, u64)]| -> Vec<Vec<u64>> {
+        let mut seqs = vec![Vec::new(); 8];
+        for &(key, seq) in arrivals {
+            seqs[key as usize].push(seq);
+        }
+        seqs
+    };
+    let mut baseline: Option<Vec<Vec<u64>>> = None;
+    for executor in [
+        ExecutorKind::ThreadPerActor,
+        ExecutorKind::Pool { workers: 1 },
+    ] {
+        for batch in BATCH_SIZES {
+            let engine = EngineConfig {
+                executor,
+                ..engine_cfg(batch)
+            };
+            let arrivals = run_keyed_on(100_000.0, items, &engine);
+            assert_eq!(
+                arrivals.len(),
+                items as usize,
+                "{executor:?}, batch {batch}"
+            );
+            let seqs = per_key(&arrivals);
+            match &baseline {
+                None => {
+                    for key_seqs in &seqs {
+                        assert!(
+                            key_seqs.windows(2).all(|w| w[0] < w[1]),
+                            "per-key arrival order must be the source order"
+                        );
+                    }
+                    baseline = Some(seqs);
+                }
+                Some(base) => assert_eq!(
+                    &seqs, base,
+                    "{executor:?}, batch {batch}: per-key order must match the unbatched run"
+                ),
+            }
+        }
     }
 }
 

@@ -2,15 +2,18 @@
 //! cost, meta-operator dispatch, end-to-end virtual-time simulation
 //! throughput (events/second of the DES engine), the per-tuple
 //! bookkeeping beside the kernels (source key sampling and count-window
-//! slides), and the wall-clock source's emission rate, paced and unpaced.
+//! slides), the wall-clock source's emission rate, paced and unpaced, and
+//! the wall-clock engine on four graph shapes across pool sizes and batch
+//! sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spinstreams_core::{KeyDistribution, Tuple};
-use spinstreams_operators::CountWindow;
+use spinstreams_operators::{build_kernel, CountWindow, OperatorKind, OperatorParams};
 use spinstreams_runtime::operators::PassThrough;
 use spinstreams_runtime::{
-    channel, run, simulate, ActorGraph, Behavior, EngineConfig, Envelope, ExecutorKind, MetaDest,
-    MetaOperator, MetaRoute, Outputs, Route, SimConfig, SourceConfig, StreamOperator,
+    channel, run, simulate, ActorGraph, ActorId, Behavior, EngineConfig, Envelope, ExecutorKind,
+    FusedChain, MetaDest, MetaOperator, MetaRoute, Outputs, Route, SimConfig, SourceConfig,
+    StreamOperator, DEFAULT_PORT,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -206,6 +209,129 @@ fn bench_source_emission(c: &mut Criterion) {
     g.finish();
 }
 
+/// Tuples per `engine_<shape>` iteration.
+const ENGINE_TUPLES: u64 = 100_000;
+
+/// Builds an engine shape; returns the graph and the actor whose arrivals
+/// count.
+type Shape = fn() -> (ActorGraph, ActorId);
+
+/// An unpaced source into `src → …`, as each engine shape starts.
+fn unpaced_source(g: &mut ActorGraph) -> ActorId {
+    g.add_actor(
+        "src",
+        Behavior::Source(SourceConfig::new(f64::INFINITY, ENGINE_TUPLES)),
+    )
+}
+
+/// src → a → b → sink: every tuple crosses three mailboxes and nothing
+/// else happens — the fully contended hand-off chain.
+fn shape_pipeline() -> (ActorGraph, ActorId) {
+    let mut g = ActorGraph::new();
+    let s = unpaced_source(&mut g);
+    let a = g.add_actor("a", Behavior::worker(PassThrough));
+    let b = g.add_actor("b", Behavior::worker(PassThrough));
+    let k = g.add_actor("sink", Behavior::worker(PassThrough));
+    g.connect(s, Route::Unicast(a));
+    g.connect(a, Route::Unicast(b));
+    g.connect(b, Route::Unicast(k));
+    (g, k)
+}
+
+/// src → F(identity-map × 3) → sink: the pipeline with its interior
+/// compiled into one monomorphized [`FusedChain`] actor, the steady state
+/// Algorithm 3 fusion groups run as.
+fn shape_fused() -> (ActorGraph, ActorId) {
+    let mut g = ActorGraph::new();
+    let s = unpaced_source(&mut g);
+    let params = OperatorParams {
+        work_ns: 0,
+        ..OperatorParams::default()
+    };
+    let kernels = (0..3)
+        .map(|_| build_kernel(OperatorKind::IdentityMap, &params).expect("stateless kind"))
+        .collect();
+    let f = g.add_actor(
+        "fused",
+        Behavior::worker(FusedChain::new("F(identity-map x3)", kernels, DEFAULT_PORT)),
+    );
+    let k = g.add_actor("sink", Behavior::worker(PassThrough));
+    g.connect(s, Route::Unicast(f));
+    g.connect(f, Route::Unicast(k));
+    (g, k)
+}
+
+/// src → round-robin over 4 replicas → collector: one producer feeding
+/// four mailboxes, four producers contending on one.
+fn shape_fanout() -> (ActorGraph, ActorId) {
+    let mut g = ActorGraph::new();
+    let s = unpaced_source(&mut g);
+    let replicas: Vec<_> = (0..4)
+        .map(|i| g.add_actor(format!("r{i}"), Behavior::worker(PassThrough)))
+        .collect();
+    let k = g.add_actor("collector", Behavior::worker(PassThrough));
+    g.connect(s, Route::RoundRobin(replicas.clone()));
+    for r in replicas {
+        g.connect(r, Route::Unicast(k));
+    }
+    (g, k)
+}
+
+/// src → emitter → round-robin over 4 replicas → collector: the
+/// emitter/collector shape fission produces (§4.2).
+fn shape_replicated() -> (ActorGraph, ActorId) {
+    let mut g = ActorGraph::new();
+    let s = unpaced_source(&mut g);
+    let e = g.add_actor("emitter", Behavior::worker(PassThrough));
+    let replicas: Vec<_> = (0..4)
+        .map(|i| g.add_actor(format!("r{i}"), Behavior::worker(PassThrough)))
+        .collect();
+    let k = g.add_actor("collector", Behavior::worker(PassThrough));
+    g.connect(s, Route::Unicast(e));
+    g.connect(e, Route::RoundRobin(replicas.clone()));
+    for r in replicas {
+        g.connect(r, Route::Unicast(k));
+    }
+    (g, k)
+}
+
+fn bench_engine(c: &mut Criterion) {
+    // Mailbox hand-offs and pool scheduling on pass-through operators: the
+    // costs that envelope batching amortizes and run-until-blocked
+    // scheduling removes. tuples/s = ENGINE_TUPLES / (ns/iter) · 1e9.
+    let shapes: [(&str, Shape); 4] = [
+        ("engine_pipeline", shape_pipeline),
+        ("engine_fused", shape_fused),
+        ("engine_fanout", shape_fanout),
+        ("engine_replicated", shape_replicated),
+    ];
+    for (group, build) in shapes {
+        let mut g = c.benchmark_group(group);
+        g.sample_size(10);
+        for workers in [1usize, 2] {
+            for batch_size in [1usize, 8, 64] {
+                let cfg = EngineConfig {
+                    executor: ExecutorKind::Pool { workers },
+                    batch_size,
+                    // Throughput, not load shedding: nothing may drop.
+                    send_timeout: Duration::from_secs(60),
+                    ..EngineConfig::default()
+                };
+                let id = BenchmarkId::new(&format!("pool{workers}"), format!("batch{batch_size}"));
+                g.bench_with_input(id, &batch_size, |b, _| {
+                    b.iter(|| {
+                        let (graph, sink) = build();
+                        let report = run(graph, &cfg).unwrap();
+                        assert_eq!(report.actor(sink).items_in, ENGINE_TUPLES);
+                        black_box(report)
+                    })
+                });
+            }
+        }
+        g.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_mailbox,
@@ -213,6 +339,7 @@ criterion_group!(
     bench_simulation,
     bench_key_sampling,
     bench_count_window,
-    bench_source_emission
+    bench_source_emission,
+    bench_engine
 );
 criterion_main!(benches);

@@ -76,10 +76,10 @@ pub struct OracleConfig {
     /// (shorter runs fill fewer windows), and the threaded layer's
     /// selectivity ratios are compared against the sim run's.
     pub threaded_items: u64,
-    /// Worker-pool executor for the threaded smoke layer: `Some(n)` runs
-    /// actors on a pool of `n` cooperative workers (`Some(0)` = one per
-    /// core), `None` keeps thread-per-actor. The oracle's comparisons must
-    /// hold under either scheduling discipline.
+    /// Worker-pool size for the threaded smoke layer: `Some(n)` runs
+    /// actors on a pool of `n` cooperative workers; `None` and `Some(0)`
+    /// mean one per core. The oracle's comparisons must hold at every pool
+    /// size.
     pub workers: Option<usize>,
     /// Core-pinning policy for the threaded smoke layer
     /// (`EngineConfig::pinning`): the comparisons must also hold when the

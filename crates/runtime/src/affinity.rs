@@ -17,14 +17,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Core-pinning policy for an engine run.
 ///
 /// An empty core list disables pinning entirely (the default). With cores
-/// `[c0, c1, …]` the engine pins, in stage order:
-///
-/// * **thread-per-actor** — actors are sharded by topological stage
-///   (Kahn rank): contiguous rank bands map onto the core list, so an
-///   operator and its downstream neighbour land on the same or adjacent
-///   cores and their connecting ring stays core-local;
-/// * **worker pool** — pool worker `w` is pinned to `cores[w % len]`;
-///   source threads are pinned round-robin over the list.
+/// `[c0, c1, …]` the engine pins pool worker `w` to `cores[w % len]` and
+/// source threads round-robin over the list. Actors are sharded by
+/// topological stage (Kahn rank): contiguous rank bands map onto the
+/// per-worker ready-queue shards, so an operator and its downstream
+/// neighbour run on the same core and their connecting ring stays
+/// core-local.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PinningConfig {
     /// The cores to pin onto, in stage order. Empty = no pinning.

@@ -3,7 +3,7 @@
 //! This is the *deployed* form of a topology: after code generation, every
 //! logical operator has become one or more actors (workers, replicas,
 //! emitters, collectors, meta-operators), connected by routes. The engine
-//! gives each actor a bounded mailbox and a dedicated thread.
+//! gives each actor a bounded mailbox and runs it on its worker pool.
 
 use crate::supervision::{OperatorFactory, SupervisorSpec};
 use crate::{Route, StreamOperator};

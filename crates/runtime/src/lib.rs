@@ -7,8 +7,10 @@
 //! models assume:
 //!
 //! * **Actors with bounded blocking mailboxes.** Each operator (or operator
-//!   replica) is executed by a dedicated thread draining a bounded FIFO
-//!   [`mailbox`](channel). A send into a full mailbox blocks the sender —
+//!   replica) is an actor draining a bounded FIFO [`mailbox`](channel);
+//!   actors run on a cooperative worker pool ([`ExecutorKind`]), or on the
+//!   discrete-event simulator, whose model gives every actor a dedicated
+//!   server. A send into a full mailbox blocks the sender —
 //!   *Blocking After Service* (BAS, §3) — with a configurable timeout after
 //!   which the item is dropped, mirroring Akka's `BoundedMailbox` setup of
 //!   §5.1.
@@ -121,8 +123,8 @@ pub use engine::{
 pub use fused::{FusedChain, Kernel};
 pub use graph::{ActorGraph, ActorId, Behavior, SourceConfig};
 pub use mailbox::{
-    channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, Envelope, Receiver, RecvBatch,
-    RecvResult, SendOutcome, Sender, TryBatch, TryRecvBatch, TrySend,
+    channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, Drained, Envelope, Receiver,
+    SendOutcome, Sender, TryBatch, TrySend,
 };
 pub use meta::{MetaDest, MetaOperator, MetaRoute};
 pub use metrics::{ActorReport, RunReport};

@@ -21,13 +21,15 @@
 //! CAS and advance `tail` with a plain store, upgrading themselves to the
 //! CAS path if the sender is ever cloned.
 //!
-//! Blocking (BAS backpressure and empty-mailbox receives) is adaptive:
-//! callers spin briefly, then yield, then park the OS thread. Parking uses a
-//! Dekker-style handshake — the parker publishes a "parked" flag, issues a
-//! `SeqCst` fence, re-checks the queue, and only then parks; the waking side
-//! issues the matching fence before testing the flag — so a wakeup can never
-//! be lost between the re-check and the park. As belt-and-braces every park
-//! is bounded by [`MAX_PARK`].
+//! Only producers ever block (BAS backpressure); the consumer never does —
+//! it drains with [`Receiver::try_drain`] and is scheduled by the wake hook
+//! ([`Receiver::set_wake_hook`]). A blocked producer spins briefly, then
+//! yields, then parks its OS thread. Parking uses a Dekker-style handshake —
+//! the parker publishes a "parked" count, issues a `SeqCst` fence, re-checks
+//! the queue, and only then parks; the waking side issues the matching fence
+//! before testing the count — so a wakeup can never be lost between the
+//! re-check and the park. As belt-and-braces every park is bounded by
+//! [`MAX_PARK`].
 
 use spinstreams_core::Tuple;
 use std::cell::UnsafeCell;
@@ -168,27 +170,9 @@ pub struct TryBatch {
     pub disconnected: bool,
 }
 
-/// Outcome of a blocking receive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecvResult {
-    /// An envelope was dequeued.
-    Envelope(Envelope),
-    /// All senders are gone and the mailbox is drained.
-    Disconnected,
-}
-
-/// Outcome of a [`Receiver::recv_drain`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvBatch {
-    /// This many envelopes were appended to the caller's buffer (≥ 1).
-    Received(usize),
-    /// All senders are gone and the mailbox is drained.
-    Disconnected,
-}
-
 /// Outcome of a non-blocking [`Receiver::try_drain`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvBatch {
+pub enum Drained {
     /// This many envelopes were appended to the caller's buffer (≥ 1).
     Received(usize),
     /// The mailbox is momentarily empty but senders remain.
@@ -205,13 +189,11 @@ struct Slot {
     value: UnsafeCell<MaybeUninit<Envelope>>,
 }
 
-/// Threads parked on this mailbox, registered *before* their parked flag is
-/// set so a waker that observes the flag always finds the handle.
+/// Producers parked on backpressure, registered *before* their parked
+/// count is raised so a waker that observes the count always finds the
+/// handle. Deduplicated by thread id (a producer re-registers on every park
+/// loop iteration).
 struct Waiters {
-    /// The single consumer, when parked waiting for data.
-    consumer: Option<Thread>,
-    /// Producers parked on backpressure, deduplicated by thread id (a
-    /// producer re-registers on every park loop iteration).
     producers: Vec<(ThreadId, Thread)>,
 }
 
@@ -244,17 +226,14 @@ struct Inner {
     senders: AtomicUsize,
     /// False once the `Receiver` is dropped.
     receiver_alive: AtomicBool,
-    /// Dekker flag: consumer is (about to be) parked.
-    consumer_parked: AtomicBool,
     /// Dekker counter: number of producers (about to be) parked.
     producers_parked: AtomicUsize,
     /// Park registry; locked only on the slow (parking/waking) path.
     waiters: Mutex<Waiters>,
-    /// Optional consumer-side wake callback, invoked wherever a parked
-    /// consumer would be unparked (data pushed, last sender dropped). The
-    /// pool executor installs one per mailbox to mark the owning actor task
-    /// ready, so producers blocked *inside* a batched send still get their
-    /// consumer scheduled.
+    /// Optional consumer-side wake callback, invoked after data is pushed
+    /// and when the last sender drops. The engine installs one per mailbox
+    /// to mark the owning actor task ready, so producers blocked *inside* a
+    /// batched send still get their consumer scheduled.
     wake_hook: OnceLock<Arc<dyn Fn() + Send + Sync>>,
     /// Cumulative nanoseconds producers spent blocked on backpressure while
     /// pushing into *this* mailbox. This is the receiver-edge view of the
@@ -424,18 +403,6 @@ impl Inner {
         n
     }
 
-    /// True if the slot at `head` holds ready data (a pop would succeed
-    /// right now). Used by the consumer's pre-park re-check: data that is
-    /// merely *in flight* is fine to park on, because the producer's wake
-    /// happens after its stamp store.
-    fn pop_ready(&self) -> bool {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let stamp = self.buffer[head & (self.one_lap - 1)]
-            .stamp
-            .load(Ordering::Acquire);
-        stamp == head.wrapping_add(1)
-    }
-
     /// True if the slot at `tail` is free (a push would succeed right now).
     /// Used by producers' pre-park re-check; a slot mid-pop is fine to park
     /// on because the consumer wakes producers after its stamp store.
@@ -472,26 +439,15 @@ impl Inner {
         }
     }
 
-    /// Wakes the consumer if it is parked, and fires the pool wake hook.
-    ///
-    /// Called after every successful push (or burst) and by the last
-    /// `Sender` drop.
+    /// Fires the consumer's wake hook. Called after every successful push
+    /// (or burst) and by the last `Sender` drop.
     fn wake_consumer(&self) {
-        // The Dekker pairing: this fence orders our push (or sender-count
-        // store) before the flag read; the parker's fence orders its flag
-        // store before its queue re-check. Whichever side runs second sees
-        // the other's write, so either we see the flag (and unpark) or the
-        // parker sees the data (and never parks).
+        // Orders our push (or sender-count store) before the hook's read of
+        // the consumer's scheduling state: a consumer that is just finding
+        // its ring empty either sees this push or is re-scheduled by the
+        // hook. Same SeqCst total order as the full/empty detection fences
+        // in `try_push`/`try_pop`.
         fence(Ordering::SeqCst);
-        // Relaxed probe is fine after the fence; the SeqCst swap below is
-        // the authoritative claim on the wakeup.
-        if self.consumer_parked.load(Ordering::Relaxed)
-            && self.consumer_parked.swap(false, Ordering::SeqCst)
-        {
-            if let Some(t) = lock_waiters(&self.waiters).consumer.take() {
-                t.unpark();
-            }
-        }
         if let Some(hook) = self.wake_hook.get() {
             hook();
         }
@@ -500,7 +456,11 @@ impl Inner {
     /// Wakes every parked producer. Called after pops free slots and by the
     /// `Receiver` drop.
     fn wake_producers(&self) {
-        // See `wake_consumer` for the fence pairing.
+        // The Dekker pairing: this fence orders our pop (or liveness store)
+        // before the count read; the parker's fence orders its count
+        // increment before its queue re-check. Whichever side runs second
+        // sees the other's write, so either we see the count (and unpark)
+        // or the parker sees the free slot (and never parks).
         fence(Ordering::SeqCst);
         if self.producers_parked.load(Ordering::Relaxed) > 0 {
             // Unpark all: several producers may be blocked mid-batch, and a
@@ -510,22 +470,6 @@ impl Inner {
                 t.unpark();
             }
         }
-    }
-
-    /// Parks the consumer for at most `limit`, unless data became ready (or
-    /// input ended) between the caller's last check and the flag store.
-    fn park_consumer(&self, limit: Duration) {
-        lock_waiters(&self.waiters).consumer = Some(thread::current());
-        // SeqCst store + fence: the Dekker publish (see `wake_consumer`).
-        self.consumer_parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        // Acquire pairs with the Release decrement in `Drop for Sender`.
-        if self.pop_ready() || self.senders.load(Ordering::Acquire) == 0 {
-            self.consumer_parked.store(false, Ordering::SeqCst);
-            return;
-        }
-        thread::park_timeout(limit.min(MAX_PARK));
-        self.consumer_parked.store(false, Ordering::SeqCst);
     }
 
     /// Parks a producer for at most `limit`, unless a slot freed up (or the
@@ -539,7 +483,7 @@ impl Inner {
                 w.producers.push((me.id(), me));
             }
         }
-        // SeqCst add + fence: the Dekker publish (see `wake_consumer`).
+        // SeqCst add + fence: the Dekker publish (see `wake_producers`).
         self.producers_parked.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         // Acquire pairs with the Release store in `Drop for Receiver`.
@@ -616,10 +560,8 @@ fn new_inner(capacity: usize, mp: bool) -> Arc<Inner> {
         mp: AtomicBool::new(mp),
         senders: AtomicUsize::new(1),
         receiver_alive: AtomicBool::new(true),
-        consumer_parked: AtomicBool::new(false),
         producers_parked: AtomicUsize::new(0),
         waiters: Mutex::new(Waiters {
-            consumer: None,
             producers: Vec::new(),
         }),
         wake_hook: OnceLock::new(),
@@ -690,8 +632,8 @@ impl Drop for Sender {
         // decrement, pairing with the consumer's Acquire load of the count
         // — once the consumer reads zero, every final push is visible.
         if self.inner.senders.fetch_sub(1, Ordering::Release) == 1 {
-            // Last sender: wake a consumer waiting on an empty queue so it
-            // can observe the disconnect.
+            // Last sender: schedule the consumer so it can observe the
+            // disconnect.
             self.inner.wake_consumer();
         }
     }
@@ -710,6 +652,12 @@ impl Sender {
     /// Sends with BAS semantics: if the mailbox is full, block until a slot
     /// frees up or `timeout` elapses (then the envelope is dropped and
     /// [`SendOutcome::TimedOut`] is returned).
+    ///
+    /// Deadline first: each time the sender looks again, it checks the
+    /// clock *before* the ring, so an envelope whose window elapsed while
+    /// the sender was parked or descheduled is dropped even if a slot has
+    /// freed meanwhile. The outcome depends on the clock, not on how late
+    /// the host woke the sender.
     pub fn send(&self, env: Envelope, timeout: Duration) -> SendOutcome {
         if self.inner.try_push(env) {
             self.inner.wake_consumer();
@@ -724,13 +672,13 @@ impl Sender {
             if !self.inner.receiver_alive.load(Ordering::Acquire) {
                 return SendOutcome::Disconnected;
             }
-            if self.inner.try_push(env) {
-                self.inner.wake_consumer();
-                return SendOutcome::SentAfterBlocking(start.elapsed());
-            }
             let now = Instant::now();
             if now >= deadline {
                 return SendOutcome::TimedOut;
+            }
+            if self.inner.try_push(env) {
+                self.inner.wake_consumer();
+                return SendOutcome::SentAfterBlocking(start.elapsed());
             }
             if !backoff.try_wait() {
                 self.inner
@@ -758,9 +706,10 @@ impl Sender {
     ///
     /// As many envelopes as fit are enqueued back-to-back; when the queue
     /// fills, the sender blocks until a slot frees — exactly as
-    /// [`Sender::send`] would — and resumes pushing the remainder. Each
-    /// envelope gets its own `timeout` window, so a batch is never dropped
-    /// mid-way except by timeout (or a vanished receiver).
+    /// [`Sender::send`] would, deadline first — and resumes pushing the
+    /// remainder. The `timeout` window restarts only when an envelope is
+    /// delivered, so a batch is never dropped mid-way except by timeout (or
+    /// a vanished receiver).
     ///
     /// The delivered prefix is drained out of `batch`; whatever remains in
     /// the buffer afterwards was **not** enqueued, and
@@ -774,21 +723,24 @@ impl Sender {
         let mut delivered = 0usize;
         let mut blocked = Duration::ZERO;
         let mut failure = None;
+        // Start of the current blocked window; `None` while not blocked.
+        let mut window: Option<Instant> = None;
         'batch: while delivered < total {
             // Burst: enqueue everything that fits, then wake the consumer
-            // once for the whole burst (it may be parked on an empty ring —
-            // without this the batch would stall until the park timeout).
+            // once for the whole burst.
             let n = self.inner.push_burst(&batch[delivered..]);
             delivered += n;
             if n > 0 {
                 self.inner.wake_consumer();
+                if let Some(start) = window.take() {
+                    blocked += start.elapsed();
+                }
             }
             if delivered == total {
                 break;
             }
-            // Backpressure: block until a slot frees, per-slot timeout (the
-            // window restarts whenever the burst above made progress).
-            let start = Instant::now();
+            // Backpressure: block until a slot frees or the window elapses.
+            let start = *window.get_or_insert_with(Instant::now);
             let deadline = start + timeout;
             let mut backoff = Backoff::new();
             loop {
@@ -798,19 +750,13 @@ impl Sender {
                     failure = Some(BatchFailure::Disconnected);
                     break 'batch;
                 }
-                if self.inner.push_ready() {
-                    blocked += start.elapsed();
-                    continue 'batch;
-                }
                 let now = Instant::now();
                 if now >= deadline {
-                    // One final attempt before giving up, mirroring `send`.
-                    if self.inner.push_ready() {
-                        blocked += start.elapsed();
-                        continue 'batch;
-                    }
                     failure = Some(BatchFailure::TimedOut);
                     break 'batch;
+                }
+                if self.inner.push_ready() {
+                    continue 'batch;
                 }
                 if !backoff.try_wait() {
                     self.inner
@@ -847,8 +793,7 @@ impl Sender {
 
     /// Charges `ns` nanoseconds of producer backpressure stall to this
     /// mailbox (the receiver-edge side of the sender's `blocked_ns`). The
-    /// engine's flush path calls this once per blocked batch, so both the
-    /// thread-per-actor and the pool send paths account identically.
+    /// engine's flush path calls this once per blocked batch.
     pub(crate) fn add_stall_ns(&self, ns: u64) {
         // Relaxed: a monotonic statistics counter, read only by the
         // sampler; no ordering with the data path is needed.
@@ -918,102 +863,42 @@ impl Sender {
 }
 
 impl Receiver {
-    /// Installs a wake callback invoked whenever a parked consumer would be
-    /// woken: after data is pushed and when the last sender drops.
+    /// Installs a wake callback invoked after data is pushed and when the
+    /// last sender drops.
     ///
-    /// The pool executor uses this to mark the owning actor task ready
-    /// instead of keeping a thread parked in [`Receiver::recv`]; the hook
-    /// must be cheap and must not touch the mailbox. Only the first call
-    /// installs a hook; later calls are ignored.
+    /// The engine uses this to mark the owning actor task ready, since no
+    /// thread ever waits on a mailbox; the hook must be cheap and must not
+    /// touch the mailbox. Only the first call installs a hook; later calls
+    /// are ignored.
     pub fn set_wake_hook(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         let _ = self.inner.wake_hook.set(hook);
     }
 
-    /// Blocks until an envelope is available or every sender is gone.
-    pub fn recv(&self) -> RecvResult {
-        let mut backoff = Backoff::new();
-        loop {
-            if let Some(env) = self.inner.try_pop() {
-                self.inner.wake_producers();
-                return RecvResult::Envelope(env);
-            }
-            // Acquire pairs with the Release decrement in `Drop for
-            // Sender`: reading zero makes every final push visible, so the
-            // drain below cannot miss data.
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                if let Some(env) = self.inner.try_pop() {
-                    self.inner.wake_producers();
-                    return RecvResult::Envelope(env);
-                }
-                return RecvResult::Disconnected;
-            }
-            if !backoff.try_wait() {
-                self.inner.park_consumer(MAX_PARK);
-            }
-        }
-    }
-
-    /// Blocks like [`Receiver::recv`], then drains up to `max` envelopes
-    /// into `buf`.
-    ///
-    /// Returns [`RecvBatch::Received`] with the number of envelopes
-    /// appended (always ≥ 1), or [`RecvBatch::Disconnected`] once every
-    /// sender is gone and the queue is drained. With `max == 1` this
-    /// performs the same ring operations in the same order as
-    /// [`Receiver::recv`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    pub fn recv_drain(&self, buf: &mut Vec<Envelope>, max: usize) -> RecvBatch {
-        assert!(max > 0, "recv_drain max must be positive");
-        let mut backoff = Backoff::new();
-        loop {
-            let n = self.inner.pop_burst(buf, max);
-            if n > 0 {
-                self.inner.wake_producers();
-                return RecvBatch::Received(n);
-            }
-            // Acquire pairs with the Release decrement in `Drop for
-            // Sender` (see `recv`).
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                let n = self.inner.pop_burst(buf, max);
-                if n > 0 {
-                    self.inner.wake_producers();
-                    return RecvBatch::Received(n);
-                }
-                return RecvBatch::Disconnected;
-            }
-            if !backoff.try_wait() {
-                self.inner.park_consumer(MAX_PARK);
-            }
-        }
-    }
-
-    /// Non-blocking drain of up to `max` envelopes into `buf`. The pool
+    /// Non-blocking drain of up to `max` envelopes into `buf`. The
     /// executor's run-until-blocked loop is built on this.
     ///
     /// # Panics
     ///
     /// Panics if `max` is zero.
-    pub fn try_drain(&self, buf: &mut Vec<Envelope>, max: usize) -> TryRecvBatch {
+    pub fn try_drain(&self, buf: &mut Vec<Envelope>, max: usize) -> Drained {
         assert!(max > 0, "try_drain max must be positive");
         let n = self.inner.pop_burst(buf, max);
         if n > 0 {
             self.inner.wake_producers();
-            return TryRecvBatch::Received(n);
+            return Drained::Received(n);
         }
-        // Acquire pairs with the Release decrement in `Drop for Sender`
-        // (see `recv`).
+        // Acquire pairs with the Release decrement in `Drop for Sender`:
+        // reading zero makes every final push visible, so the drain below
+        // cannot miss data.
         if self.inner.senders.load(Ordering::Acquire) == 0 {
             let n = self.inner.pop_burst(buf, max);
             if n > 0 {
                 self.inner.wake_producers();
-                return TryRecvBatch::Received(n);
+                return Drained::Received(n);
             }
-            return TryRecvBatch::Disconnected;
+            return Drained::Disconnected;
         }
-        TryRecvBatch::Empty
+        Drained::Empty
     }
 
     /// Non-blocking receive; `None` if the mailbox is momentarily empty.
@@ -1112,6 +997,24 @@ mod tests {
 
     const LONG: Duration = Duration::from_secs(5);
 
+    /// The test consumer: polls `try_drain` until envelopes arrive
+    /// (`Some(n)`) or every sender is gone and the ring is drained (`None`).
+    fn drain(rx: &Receiver, buf: &mut Vec<Envelope>, max: usize) -> Option<usize> {
+        loop {
+            match rx.try_drain(buf, max) {
+                Drained::Received(n) => return Some(n),
+                Drained::Empty => thread::yield_now(),
+                Drained::Disconnected => return None,
+            }
+        }
+    }
+
+    /// One envelope through [`drain`].
+    fn recv_one(rx: &Receiver) -> Option<Envelope> {
+        let mut buf = Vec::with_capacity(1);
+        drain(rx, &mut buf, 1).map(|_| buf[0])
+    }
+
     #[test]
     fn batch_pool_recycles_buffers() {
         let pool = BatchPool::new(8);
@@ -1138,8 +1041,8 @@ mod tests {
             assert_eq!(tx.send(item(i), LONG), SendOutcome::Sent);
         }
         for i in 0..5 {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv_one(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1153,7 +1056,7 @@ mod tests {
         let handle = thread::spawn(move || tx.send(item(2), LONG));
         thread::sleep(Duration::from_millis(50));
         // The third send is still blocked; unblock it.
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
+        assert!(recv_one(&rx).is_some());
         let outcome = handle.join().unwrap();
         match outcome {
             SendOutcome::SentAfterBlocking(d) => {
@@ -1175,18 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_blocks_until_item_arrives() {
-        let (tx, rx) = channel(4);
-        let handle = thread::spawn(move || rx.recv());
-        thread::sleep(Duration::from_millis(30));
-        assert_eq!(tx.send(item(7), LONG), SendOutcome::Sent);
-        match handle.join().unwrap() {
-            RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, 7),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn dropping_all_senders_disconnects_receiver() {
         let (tx, rx) = channel(4);
         let tx2 = tx.clone();
@@ -1194,8 +1085,8 @@ mod tests {
         drop(tx);
         drop(tx2);
         // Buffered item still delivered, then disconnect.
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv_one(&rx).is_some());
+        assert_eq!(recv_one(&rx), None);
     }
 
     #[test]
@@ -1222,7 +1113,7 @@ mod tests {
         }
         drop(tx);
         let mut got = 0;
-        while let RecvResult::Envelope(_) = rx.recv() {
+        while recv_one(&rx).is_some() {
             got += 1;
         }
         for h in handles {
@@ -1235,7 +1126,7 @@ mod tests {
     fn eos_envelopes_pass_through() {
         let (tx, rx) = channel(2);
         tx.send(Envelope::Eos, LONG);
-        assert_eq!(rx.recv(), RecvResult::Envelope(Envelope::Eos));
+        assert_eq!(recv_one(&rx), Some(Envelope::Eos));
     }
 
     #[test]
@@ -1247,7 +1138,7 @@ mod tests {
         tx.send(Envelope::Epoch(1), LONG);
         tx.send(item(1), LONG);
         let mut buf = Vec::new();
-        assert_eq!(rx.recv_drain(&mut buf, 8), RecvBatch::Received(3));
+        assert_eq!(drain(&rx, &mut buf, 8), Some(3));
         assert_eq!(buf[0], item(0));
         assert_eq!(buf[1], Envelope::Epoch(1));
         assert_eq!(buf[2], item(1));
@@ -1280,9 +1171,9 @@ mod tests {
         // Dropping the only sender must still disconnect the receiver even
         // though the probe outlives it.
         drop(tx);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv_one(&rx).is_some());
+        assert!(recv_one(&rx).is_some());
+        assert_eq!(recv_one(&rx), None);
         assert_eq!(probe.len(), 0);
     }
 
@@ -1320,8 +1211,8 @@ mod tests {
         assert_eq!(outcome.blocked, Duration::ZERO);
         assert!(batch.is_empty(), "delivered prefix must be drained");
         for i in 0..10 {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv_one(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1336,8 +1227,8 @@ mod tests {
             let mut got = Vec::new();
             let mut buf = Vec::new();
             loop {
-                match rx.recv_drain(&mut buf, 8) {
-                    RecvBatch::Received(_) => {
+                match drain(&rx, &mut buf, 8) {
+                    Some(_) => {
                         for env in buf.drain(..) {
                             if let Envelope::Data(t) = env {
                                 got.push(t.seq);
@@ -1347,7 +1238,7 @@ mod tests {
                         // backpressure path repeatedly.
                         thread::sleep(Duration::from_millis(5));
                     }
-                    RecvBatch::Disconnected => return got,
+                    None => return got,
                 }
             }
         });
@@ -1402,14 +1293,14 @@ mod tests {
     }
 
     #[test]
-    fn recv_drain_caps_at_max_and_drains_in_order() {
+    fn drain_caps_at_max_and_drains_in_order() {
         let (tx, rx) = channel(16);
         for i in 0..10 {
             assert_eq!(tx.send(item(i), LONG), SendOutcome::Sent);
         }
         let mut buf = Vec::new();
-        assert_eq!(rx.recv_drain(&mut buf, 4), RecvBatch::Received(4));
-        assert_eq!(rx.recv_drain(&mut buf, 64), RecvBatch::Received(6));
+        assert_eq!(rx.try_drain(&mut buf, 4), Drained::Received(4));
+        assert_eq!(rx.try_drain(&mut buf, 64), Drained::Received(6));
         let seqs: Vec<u64> = buf
             .iter()
             .map(|e| match e {
@@ -1423,29 +1314,14 @@ mod tests {
     }
 
     #[test]
-    fn recv_drain_blocks_until_item_arrives() {
-        let (tx, rx) = channel(4);
-        let handle = thread::spawn(move || {
-            let mut buf = Vec::new();
-            let res = rx.recv_drain(&mut buf, 8);
-            (res, buf)
-        });
-        thread::sleep(Duration::from_millis(50));
-        assert_eq!(tx.send(item(7), LONG), SendOutcome::Sent);
-        let (res, buf) = handle.join().unwrap();
-        assert_eq!(res, RecvBatch::Received(1));
-        assert_eq!(buf, vec![item(7)]);
-    }
-
-    #[test]
-    fn recv_drain_disconnects_after_draining() {
+    fn drain_disconnects_after_draining() {
         let (tx, rx) = channel(8);
         tx.send(item(0), LONG);
         tx.send(Envelope::Eos, LONG);
         drop(tx);
         let mut buf = Vec::new();
-        assert_eq!(rx.recv_drain(&mut buf, 64), RecvBatch::Received(2));
-        assert_eq!(rx.recv_drain(&mut buf, 64), RecvBatch::Disconnected);
+        assert_eq!(rx.try_drain(&mut buf, 64), Drained::Received(2));
+        assert_eq!(rx.try_drain(&mut buf, 64), Drained::Disconnected);
     }
 
     #[test]
@@ -1467,7 +1343,7 @@ mod tests {
         });
         let mut seen = Vec::new();
         let mut buf = Vec::new();
-        while let RecvBatch::Received(_) = rx.recv_drain(&mut buf, 4) {
+        while drain(&rx, &mut buf, 4).is_some() {
             seen.append(&mut buf);
             if seen.last() == Some(&Envelope::Eos) {
                 break;
@@ -1507,7 +1383,7 @@ mod tests {
         drop(tx);
         let mut per_key: Vec<Vec<u64>> = vec![Vec::new(); PRODUCERS as usize];
         let mut buf = Vec::new();
-        while let RecvBatch::Received(_) = rx.recv_drain(&mut buf, 16) {
+        while drain(&rx, &mut buf, 16).is_some() {
             for env in buf.drain(..) {
                 if let Envelope::Data(t) = env {
                     per_key[t.key as usize].push(t.seq);
@@ -1535,7 +1411,7 @@ mod tests {
         assert_eq!(outcome.failure, Some(BatchFailure::TimedOut));
         assert_eq!(outcome.delivered, 0);
         assert_eq!(batch.len(), 1);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
+        assert!(recv_one(&rx).is_some());
     }
 
     #[test]
@@ -1550,7 +1426,7 @@ mod tests {
         });
         let mut next = 0u64;
         let mut buf = Vec::new();
-        while let RecvBatch::Received(_) = rx.recv_drain(&mut buf, 8) {
+        while drain(&rx, &mut buf, 8).is_some() {
             for env in buf.drain(..) {
                 match env {
                     Envelope::Data(t) => {
@@ -1586,10 +1462,10 @@ mod tests {
         let h2 = mk(1, tx2);
         let mut per_key: Vec<Vec<u64>> = vec![Vec::new(); 2];
         loop {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => per_key[t.key as usize].push(t.seq),
-                RecvResult::Envelope(_) => panic!("expected data"),
-                RecvResult::Disconnected => break,
+            match recv_one(&rx) {
+                Some(Envelope::Data(t)) => per_key[t.key as usize].push(t.seq),
+                Some(_) => panic!("expected data"),
+                None => break,
             }
         }
         h1.join().unwrap();
@@ -1638,15 +1514,15 @@ mod tests {
     fn try_drain_reports_empty_then_data_then_disconnected() {
         let (tx, rx) = channel(8);
         let mut buf = Vec::new();
-        assert_eq!(rx.try_drain(&mut buf, 4), TryRecvBatch::Empty);
+        assert_eq!(rx.try_drain(&mut buf, 4), Drained::Empty);
         for i in 0..6 {
             tx.send(item(i), LONG);
         }
-        assert_eq!(rx.try_drain(&mut buf, 4), TryRecvBatch::Received(4));
-        assert_eq!(rx.try_drain(&mut buf, 4), TryRecvBatch::Received(2));
+        assert_eq!(rx.try_drain(&mut buf, 4), Drained::Received(4));
+        assert_eq!(rx.try_drain(&mut buf, 4), Drained::Received(2));
         assert_eq!(buf.len(), 6);
         drop(tx);
-        assert_eq!(rx.try_drain(&mut buf, 4), TryRecvBatch::Disconnected);
+        assert_eq!(rx.try_drain(&mut buf, 4), Drained::Disconnected);
     }
 
     #[test]
@@ -1664,8 +1540,8 @@ mod tests {
         // Last-sender drop must also fire the hook so a pooled consumer
         // gets scheduled to observe the disconnect.
         assert!(fired.load(Ordering::SeqCst) > before_drop);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv_one(&rx).is_some());
+        assert_eq!(recv_one(&rx), None);
     }
 
     #[test]
@@ -1682,12 +1558,12 @@ mod tests {
         let mut buf = Vec::new();
         while got < 10 {
             match rx.try_drain(&mut buf, 4) {
-                TryRecvBatch::Received(n) => {
+                Drained::Received(n) => {
                     got += n;
                     buf.clear();
                 }
-                TryRecvBatch::Empty => thread::yield_now(),
-                TryRecvBatch::Disconnected => break,
+                Drained::Empty => thread::yield_now(),
+                Drained::Disconnected => break,
             }
         }
         let outcome = producer.join().unwrap();
@@ -1702,8 +1578,8 @@ mod tests {
         let (tx, rx) = channel(1);
         for i in 0..100 {
             assert_eq!(tx.send(item(i), LONG), SendOutcome::Sent);
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv_one(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }

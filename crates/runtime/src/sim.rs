@@ -54,14 +54,6 @@ pub struct SimConfig {
     /// reads the host clock while events run; the only reading is the
     /// report's [`crate::RunReport::started_at`], taken once at the end.
     pub intrinsic_time: bool,
-    /// Accepted for configuration parity with
-    /// [`crate::EngineConfig::batch_size`], and **ignored**: envelope
-    /// batching amortizes lock acquisitions and condvar wakeups, which the
-    /// discrete-event executor does not model (queues are plain `VecDeque`s
-    /// and blocking is virtual), so every batch size produces the same
-    /// schedule. Threaded and virtual runs of one experiment can therefore
-    /// share a config without the virtual results drifting.
-    pub batch_size: usize,
     /// Epoch marker cadence, for configuration parity with
     /// [`crate::EngineConfig::checkpoint_interval`]. The simulator models
     /// ideal (never-failing) operators, so barrier alignment and snapshots
@@ -78,7 +70,6 @@ impl Default for SimConfig {
             mailbox_capacity: 256,
             seed: 0xC0FFEE,
             intrinsic_time: true,
-            batch_size: 1,
             checkpoint_interval: None,
         }
     }
@@ -720,9 +711,10 @@ fn simulate_with(
 /// Selects how a deployment is executed.
 #[derive(Debug, Clone)]
 pub enum Executor {
-    /// Thread-per-actor with real bounded mailboxes (the Akka-like mode;
-    /// needs roughly one core per concurrently busy actor to exhibit the
-    /// modeled parallelism).
+    /// The wall-clock engine ([`crate::run`]): real OS threads and real
+    /// bounded mailboxes, worker actors multiplexed over the configured
+    /// worker pool. It exhibits the modeled parallelism only up to the
+    /// host's core count.
     Threads(crate::EngineConfig),
     /// Discrete-event virtual-time execution (perfect parallelism on any
     /// host; deterministic given seeds).

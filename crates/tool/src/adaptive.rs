@@ -75,7 +75,8 @@ pub struct AdaptiveRunConfig {
     pub controller: AdaptiveConfig,
     /// Envelope batch size (`EngineConfig::batch_size`).
     pub batch_size: usize,
-    /// `None` = thread-per-actor; `Some(n)` = pool executor (`0` = auto).
+    /// Pool workers: `Some(n)` = `n` threads; `None` or `Some(0)` = one per
+    /// core.
     pub workers: Option<usize>,
     /// Epoch-aligned checkpoint cadence in source items. Required (not
     /// optional): migrations apply at epoch barriers.
@@ -467,9 +468,8 @@ pub fn run_adaptive(
         seed: cfg.seed,
         batch_size: cfg.batch_size.max(1),
         checkpoint_interval: Some(cfg.checkpoint_interval),
-        executor: match cfg.workers {
-            Some(workers) => ExecutorKind::Pool { workers },
-            None => ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool {
+            workers: cfg.workers.unwrap_or(0),
         },
         reconfig: Some(handle.clone()),
         ..EngineConfig::default()

@@ -115,8 +115,8 @@ fn usage() -> ExitCode {
                      --min-samples N (re-profiler floor, default 200), --json\n\
          \n\
          --batch N defaults to the topology file's <settings batch-size=\"N\"/> (or 1);\n\
-         --workers N selects the worker-pool executor with N threads (0 = one per core;\n\
-         default: the file's <settings workers=\"N\"/>, else one dedicated thread per actor);\n\
+         --workers N sizes the worker pool that runs the actors (0 = one per core;\n\
+         default: the file's <settings workers=\"N\"/>, else one per core);\n\
          --checkpoint N enables epoch-aligned checkpointing every N source items (0 = off;\n\
          default: the file's <settings checkpoint-interval=\"N\"/>, else off);\n\
          --pin-cores 0,1,2 pins engine threads to the listed cores, sharding actors by\n\
@@ -319,9 +319,8 @@ fn oracle_cmd(args: &[String]) -> ExitCode {
         seed_start + seeds - 1,
         cfg.threaded_runs.min(seeds as usize),
         match cfg.workers {
-            Some(0) => "pool (auto workers)".to_string(),
+            Some(0) | None => "pool (auto workers)".to_string(),
             Some(n) => format!("pool ({n} workers)"),
-            None => "thread-per-actor".to_string(),
         },
         if cfg.check_fission { "on" } else { "off" },
         if cfg.check_fusion { "on" } else { "off" },
@@ -636,7 +635,7 @@ fn main() -> ExitCode {
         None => xml_settings.batch_size.unwrap_or(1),
     };
     // Same precedence for the executor: --workers N beats the document's
-    // <settings workers="N"/>; absent both, thread-per-actor.
+    // <settings workers="N"/>; absent both, one worker per core.
     let workers = match flag_value(&args, "--workers") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => Some(n),
@@ -917,11 +916,9 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             let mut executor = experiment_executor(0x70_01);
-            // Accepted for config parity; virtual time ignores batching
-            // (see `SimConfig::batch_size`) and models checkpoint epochs
-            // deterministically (see `SimConfig::checkpoint_interval`).
+            // Virtual time models checkpoint epochs deterministically (see
+            // `SimConfig::checkpoint_interval`); it does not model batching.
             if let Executor::VirtualTime(sim) = &mut executor {
-                sim.batch_size = batch;
                 sim.checkpoint_interval = checkpoint;
             }
             match flag_value(&args, "--telemetry") {
@@ -1087,9 +1084,8 @@ fn main() -> ExitCode {
             let engine = EngineConfig {
                 batch_size: batch,
                 checkpoint_interval: checkpoint,
-                executor: match workers {
-                    Some(n) => ExecutorKind::Pool { workers: n },
-                    None => ExecutorKind::ThreadPerActor,
+                executor: ExecutorKind::Pool {
+                    workers: workers.unwrap_or(0),
                 },
                 pinning: pinning.clone(),
                 ..EngineConfig::default()
@@ -1128,9 +1124,8 @@ fn main() -> ExitCode {
                 Executor::Threads(EngineConfig {
                     batch_size: batch,
                     checkpoint_interval: checkpoint,
-                    executor: match workers {
-                        Some(n) => ExecutorKind::Pool { workers: n },
-                        None => ExecutorKind::ThreadPerActor,
+                    executor: ExecutorKind::Pool {
+                        workers: workers.unwrap_or(0),
                     },
                     pinning: pinning.clone(),
                     ..EngineConfig::default()
@@ -1138,7 +1133,6 @@ fn main() -> ExitCode {
             } else {
                 let mut executor = experiment_executor(0x1195EC7);
                 if let Executor::VirtualTime(sim) = &mut executor {
-                    sim.batch_size = batch;
                     sim.checkpoint_interval = checkpoint;
                 }
                 executor

@@ -44,8 +44,7 @@ pub struct MultiTenantConfig {
     pub items: u64,
     /// Envelope batch size of the shared engine.
     pub batch_size: usize,
-    /// Pool workers (`Some(0)` = one per core); `None` runs
-    /// thread-per-actor.
+    /// Pool workers (`None` or `Some(0)` = one per core).
     pub workers: Option<usize>,
     /// Symmetric relative error allowed between the summed measured
     /// aggregate and the summed Algorithm 1 predictions.
@@ -153,9 +152,8 @@ pub fn tenant_topology(seed: u64, idx: usize) -> Topology {
 /// fusion is off so the `sink` actor keeps its name in the run report.
 fn scenario_service(cfg: &MultiTenantConfig) -> StreamService {
     let engine = EngineConfig {
-        executor: match cfg.workers {
-            Some(workers) => ExecutorKind::Pool { workers },
-            None => ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool {
+            workers: cfg.workers.unwrap_or(0),
         },
         batch_size: cfg.batch_size.max(1),
         ..EngineConfig::default()

@@ -119,9 +119,9 @@ pub struct RuntimeSettings {
     /// Envelope batch size for the threaded engine's coalesced data path
     /// (`EngineConfig::batch_size`); `None` leaves the engine default.
     pub batch_size: Option<usize>,
-    /// Pool-executor worker thread count (`EngineConfig::executor =
+    /// Worker-pool thread count (`EngineConfig::executor =
     /// Pool { workers }`); `0` means auto (available parallelism), `None`
-    /// keeps the default thread-per-actor executor.
+    /// leaves the engine default (also one per core).
     pub workers: Option<usize>,
     /// Epoch-aligned checkpoint cadence in source items
     /// (`EngineConfig::checkpoint_interval`); `None` disables

@@ -1,6 +1,6 @@
 //! End-to-end adaptive re-optimization tests: a sustained mid-run
 //! service-time shift must trigger a live plan migration — route swap on an
-//! epoch barrier, no stream stop — across batch sizes and both executors,
+//! epoch barrier, no stream stop — across batch sizes and pool sizes,
 //! with exactly-once sink delivery throughout; a clean run must never
 //! migrate; and a migration racing a supervised crash/restart must still
 //! deliver every tuple.
@@ -91,13 +91,13 @@ fn assert_migrated_exactly_once(cfg: &AdaptiveRunConfig, label: &str) {
 }
 
 #[test]
-fn migration_fires_across_batch_sizes_thread_per_actor() {
+fn migration_fires_across_batch_sizes_default_pool() {
     for batch in [1usize, 8, 64] {
         let cfg = AdaptiveRunConfig {
             faults: vec![slowdown()],
             ..config(batch, None)
         };
-        assert_migrated_exactly_once(&cfg, &format!("thread-per-actor, batch {batch}"));
+        assert_migrated_exactly_once(&cfg, &format!("pool (one per core), batch {batch}"));
     }
 }
 

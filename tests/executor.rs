@@ -1,7 +1,7 @@
 //! Equivalence tests for the worker-pool executor: multiplexing actors
 //! over a fixed pool of cooperative workers must change scheduling, never
 //! semantics. Delivered counts, per-key order, and supervision accounting
-//! must be independent of the executor; and the per-batch sink clock must
+//! must be independent of the pool size; and the per-batch sink clock must
 //! bound latency-histogram skew to a single drained batch.
 
 use spinstreams::analysis::DriftConfig;
@@ -15,10 +15,9 @@ use spinstreams::tool::predict_vs_measure_telemetry;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The schedules under test: the thread-per-actor baseline and pools both
-/// saturated (workers ≥ actors) and oversubscribed (workers < actors).
-const EXECUTORS: [ExecutorKind; 4] = [
-    ExecutorKind::ThreadPerActor,
+/// The schedules under test: pools both saturated (workers ≥ actors) and
+/// oversubscribed (workers < actors). Pool-1 is the reference.
+const EXECUTORS: [ExecutorKind; 3] = [
     ExecutorKind::Pool { workers: 1 },
     ExecutorKind::Pool { workers: 2 },
     ExecutorKind::Pool { workers: 4 },
@@ -85,7 +84,7 @@ fn keyed_counts_and_per_key_order_match_across_executors() {
         }
         seqs
     };
-    let baseline = per_key(&run_keyed(ExecutorKind::ThreadPerActor, items));
+    let baseline = per_key(&run_keyed(ExecutorKind::Pool { workers: 1 }, items));
     for seqs in &baseline {
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
@@ -98,7 +97,7 @@ fn keyed_counts_and_per_key_order_match_across_executors() {
         assert_eq!(
             per_key(&arrivals),
             baseline,
-            "{executor:?}: per-key order must match thread-per-actor"
+            "{executor:?}: per-key order must match pool-1"
         );
     }
 }
@@ -133,14 +132,14 @@ fn supervision_accounting_matches_across_executors() {
         assert_eq!(r.actor(w).panics, 1, "{executor:?}");
         (r.actor(k).items_in, r.total_dead_letters())
     };
-    let (delivered, dead) = run_flaky(ExecutorKind::ThreadPerActor);
+    let (delivered, dead) = run_flaky(ExecutorKind::Pool { workers: 1 });
     assert_eq!(delivered, 10, "tuples 0..=9 precede the poison tuple");
     assert_eq!(delivered + dead, 25, "every tuple is accounted for");
     for executor in EXECUTORS {
         assert_eq!(
             run_flaky(executor),
             (delivered, dead),
-            "{executor:?}: supervision accounting must match thread-per-actor"
+            "{executor:?}: supervision accounting must match pool-1"
         );
     }
 }
@@ -164,7 +163,7 @@ fn sink_latency_skew_is_bounded_to_one_drained_batch() {
         g.connect(s, Route::Unicast(k));
         let tcfg = TelemetryConfig::default().with_interval(Duration::from_secs(10));
         let (report, tel) =
-            run_with_telemetry(g, &engine_cfg(ExecutorKind::ThreadPerActor), &tcfg).unwrap();
+            run_with_telemetry(g, &engine_cfg(ExecutorKind::Pool { workers: 1 }), &tcfg).unwrap();
         assert_eq!(report.actor(k).items_in, 8);
         let last = tel.snapshots.last().unwrap();
         assert_eq!(last.latencies.len(), 1);
@@ -209,7 +208,6 @@ fn virtual_time_telemetry_stays_deterministic() {
             mailbox_capacity: 32,
             seed: 0xBA7C4,
             intrinsic_time: false,
-            batch_size: 8,
             checkpoint_interval: None,
         });
         predict_vs_measure_telemetry(&topo, 5_000, &executor, &tcfg, DriftConfig::default())

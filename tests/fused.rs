@@ -2,7 +2,7 @@
 //! monomorphized [`FusedChain`] must be observably identical to the same
 //! group run through the interpreted `MetaOperator` — same per-operator
 //! counts, same per-key tuple sequences, byte-identical virtual-time
-//! telemetry — across batch sizes and both executors. A crash mid-stream
+//! telemetry — across batch sizes and pool sizes. A crash mid-stream
 //! must also recover identically under either representation.
 //!
 //! [`FusedChain`]: spinstreams::runtime::FusedChain
@@ -20,10 +20,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Executors under test: the thread-per-actor baseline and a pool small
-/// enough to multiplex several actors per worker.
+/// Executors under test: one worker multiplexing every actor (the golden
+/// reference's schedule) and a pool that runs actors in parallel.
 const EXECUTORS: [ExecutorKind; 2] = [
-    ExecutorKind::ThreadPerActor,
+    ExecutorKind::Pool { workers: 1 },
     ExecutorKind::Pool { workers: 2 },
 ];
 
@@ -141,43 +141,40 @@ fn monomorphized_sim_telemetry_is_byte_identical_to_interpreted() {
     // if the fused chain really is the meta-operator with the dispatch
     // compiled out, the whole telemetry export — counts, rates, latency
     // histograms — must match byte for byte.
-    for batch in BATCHES {
-        let export = |strategy: FusionStrategy| {
-            let (topo, group) = chain_topology();
-            let opts = CodegenOptions {
-                items: 4_000,
-                seed: 0xF00D,
-                fusion: strategy,
-                ..CodegenOptions::default()
-            };
-            let plan = build_actor_graph(
-                &topo,
-                Some(KeyDistribution::uniform(8)),
-                &[],
-                &[group],
-                &opts,
-            )
-            .unwrap();
-            let sim = SimConfig {
-                mailbox_capacity: 32,
-                seed: 0xBA7C4,
-                intrinsic_time: false,
-                batch_size: batch,
-                checkpoint_interval: None,
-            };
-            let tcfg = TelemetryConfig::default().with_interval(Duration::from_millis(1));
-            let (report, tel) = simulate_with_telemetry(plan.graph, &sim, &tcfg).unwrap();
-            assert_eq!(report.total_dropped(), 0, "batch {batch}");
-            tel.to_jsonl()
+    let export = |strategy: FusionStrategy| {
+        let (topo, group) = chain_topology();
+        let opts = CodegenOptions {
+            items: 4_000,
+            seed: 0xF00D,
+            fusion: strategy,
+            ..CodegenOptions::default()
         };
-        let mono = export(FusionStrategy::Monomorphize);
-        assert!(!mono.is_empty(), "batch {batch}: telemetry must export");
-        assert_eq!(
-            export(FusionStrategy::Interpret),
-            mono,
-            "batch {batch}: sim telemetry must be byte-identical across strategies"
-        );
-    }
+        let plan = build_actor_graph(
+            &topo,
+            Some(KeyDistribution::uniform(8)),
+            &[],
+            &[group],
+            &opts,
+        )
+        .unwrap();
+        let sim = SimConfig {
+            mailbox_capacity: 32,
+            seed: 0xBA7C4,
+            intrinsic_time: false,
+            checkpoint_interval: None,
+        };
+        let tcfg = TelemetryConfig::default().with_interval(Duration::from_millis(1));
+        let (report, tel) = simulate_with_telemetry(plan.graph, &sim, &tcfg).unwrap();
+        assert_eq!(report.total_dropped(), 0);
+        tel.to_jsonl()
+    };
+    let mono = export(FusionStrategy::Monomorphize);
+    assert!(!mono.is_empty(), "telemetry must export");
+    assert_eq!(
+        export(FusionStrategy::Interpret),
+        mono,
+        "sim telemetry must be byte-identical across strategies"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -278,7 +275,7 @@ fn run_chain(
 #[test]
 fn fused_chain_emits_the_same_tuples_as_the_meta_operator() {
     const ITEMS: u64 = 3_000;
-    let golden = run_chain(fused_worker(), 1, ExecutorKind::ThreadPerActor, ITEMS);
+    let golden = run_chain(fused_worker(), 1, ExecutorKind::Pool { workers: 1 }, ITEMS);
     assert!(
         golden.len() >= 4,
         "keyed source must spread keys, got {}",
@@ -352,7 +349,7 @@ fn run_recovery(worker: Box<dyn StreamOperator>, crash: bool) -> RecoveryRun {
     g.set_supervision(w, SupervisorSpec::restart(4, Backoff::none()));
     let cfg = EngineConfig {
         batch_size: 8,
-        executor: ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool { workers: 1 },
         checkpoint_interval: Some(CHECKPOINT_EVERY),
         mailbox_capacity: 64,
         send_timeout: Duration::from_secs(5),

@@ -1,6 +1,6 @@
 //! End-to-end tests of the observability layer: byte-deterministic span
 //! exports under the discrete-event executor, tracing on/off semantic
-//! equivalence on both executors, and the online re-profiler validated
+//! equivalence on the wall-clock engine and the simulator, and the online re-profiler validated
 //! against the oracle's offline §4.1 profiler over seeded topologies.
 
 use spinstreams::analysis::{attribute, steady_state, AnnotationKind, Reprofiler};
@@ -39,16 +39,16 @@ fn pipeline() -> Topology {
 }
 
 /// The flight recorder is a pure function of topology and seed under the
-/// discrete-event executor: at every envelope batch size, two identical
-/// runs export byte-identical JSON-lines (snapshots *and* span trace
-/// events), and virtual time makes the export independent of batching.
+/// discrete-event executor: two identical runs export byte-identical
+/// JSON-lines (snapshots *and* span trace events). Virtual time has no
+/// envelope batching, so its one schedule stands for every batch size.
 #[test]
 fn span_export_is_byte_identical_across_sim_runs_at_every_batch_size() {
     let topo = pipeline();
     let tcfg = TelemetryConfig::default()
         .with_interval(Duration::from_millis(100))
         .with_span_sample(8);
-    let run_once = |batch: usize| {
+    let run_once = || {
         let plan = build_actor_graph(
             &topo,
             None,
@@ -65,37 +65,30 @@ fn span_export_is_byte_identical_across_sim_runs_at_every_batch_size() {
             mailbox_capacity: 32,
             seed: 0xBEEF,
             intrinsic_time: false,
-            batch_size: batch,
             ..SimConfig::default()
         });
         let (_, telemetry) = execute_with_telemetry(plan.graph, &executor, &tcfg).unwrap();
         telemetry
     };
-    let mut exports = Vec::new();
-    for batch in [1, 8, 64] {
-        let a = run_once(batch);
-        let b = run_once(batch);
-        let jsonl = a.to_jsonl();
-        assert_eq!(
-            jsonl,
-            b.to_jsonl(),
-            "batch {batch}: same seed must export byte-identical telemetry"
-        );
-        assert!(
-            jsonl.contains("\"event\":\"span\""),
-            "batch {batch}: no span events in export"
-        );
-        let spans = assemble_spans(&a.trace);
-        assert!(!spans.is_empty(), "batch {batch}: no spans assembled");
-        // Every sampled tuple crossed the whole pipeline: one hop per
-        // receiving actor (the source stamps but does not receive).
-        for p in &spans {
-            assert_eq!(p.hops.len(), 2, "span for seq {} truncated", p.tuple_seq);
-        }
-        exports.push(jsonl);
+    let a = run_once();
+    let b = run_once();
+    let jsonl = a.to_jsonl();
+    assert_eq!(
+        jsonl,
+        b.to_jsonl(),
+        "same seed must export byte-identical telemetry"
+    );
+    assert!(
+        jsonl.contains("\"event\":\"span\""),
+        "no span events in export"
+    );
+    let spans = assemble_spans(&a.trace);
+    assert!(!spans.is_empty(), "no spans assembled");
+    // Every sampled tuple crossed the whole pipeline: one hop per
+    // receiving actor (the source stamps but does not receive).
+    for p in &spans {
+        assert_eq!(p.hops.len(), 2, "span for seq {} truncated", p.tuple_seq);
     }
-    // Virtual time coalesces nothing: batch size cannot change the export.
-    assert!(exports.windows(2).all(|w| w[0] == w[1]));
 }
 
 /// Runs the keyed fan-out graph of `tests/batching.rs` and records

@@ -118,6 +118,9 @@ pub struct AdaptiveController {
     config: AdaptiveConfig,
     current_replicas: Vec<usize>,
     cooldown: u64,
+    /// Ticks consumed over the controller's life (the monitor's own count
+    /// restarts at every rebase).
+    ticks: u64,
     rebases: u64,
     changes: u64,
 }
@@ -150,6 +153,7 @@ impl AdaptiveController {
             config,
             current_replicas,
             cooldown: 0,
+            ticks: 0,
             rebases: 0,
             changes: 0,
         }
@@ -167,7 +171,7 @@ impl AdaptiveController {
 
     /// Telemetry ticks consumed so far.
     pub fn ticks(&self) -> u64 {
-        self.monitor.ticks()
+        self.ticks
     }
 
     /// Times the drift baseline was rebased *without* a migration (plan
@@ -192,6 +196,7 @@ impl AdaptiveController {
     /// plan differs from the running one, and the predicted gain clears
     /// [`AdaptiveConfig::hysteresis`]. Every other outcome is `None`.
     pub fn tick(&mut self, counters: &[OperatorCounters]) -> Option<PlanChange> {
+        self.ticks += 1;
         let estimates = self.reprofiler.update(counters);
         let verdicts = self.monitor.tick(&estimates);
         let stale: Vec<usize> = verdicts
@@ -418,6 +423,8 @@ mod tests {
         // The shift is real but the baseline was rebased at migration time:
         // the identical measurements must not re-trigger.
         assert_eq!(changes, 1);
+        // The rebase restarts the monitor, not the controller's tick count.
+        assert_eq!(ctl.ticks(), 30);
         assert_eq!(ctl.current_replicas(), &[1, 4, 1]);
     }
 

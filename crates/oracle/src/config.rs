@@ -1,6 +1,6 @@
 //! Oracle configuration: scenario generation knobs and tolerance bands.
 
-use spinstreams_runtime::PinningConfig;
+use spinstreams_runtime::EngineConfig;
 use spinstreams_topogen::TopogenConfig;
 
 /// Tolerance bands for the three-way comparison.
@@ -76,15 +76,10 @@ pub struct OracleConfig {
     /// (shorter runs fill fewer windows), and the threaded layer's
     /// selectivity ratios are compared against the sim run's.
     pub threaded_items: u64,
-    /// Worker-pool size for the threaded smoke layer: `Some(n)` runs
-    /// actors on a pool of `n` cooperative workers; `None` and `Some(0)`
-    /// mean one per core. The oracle's comparisons must hold at every pool
-    /// size.
-    pub workers: Option<usize>,
-    /// Core-pinning policy for the threaded smoke layer
-    /// (`EngineConfig::pinning`): the comparisons must also hold when the
-    /// engine pins its threads and shards actors by stage.
-    pub pinning: PinningConfig,
+    /// The wall-clock engine of the threaded smoke layer; each scenario
+    /// overrides its seed. The oracle's comparisons must hold at every
+    /// pool size, batch size and pinning.
+    pub engine: EngineConfig,
     /// Delta-debug divergent scenarios down to a minimal counterexample.
     pub minimize: bool,
     /// Hard cap on pipeline evaluations spent minimizing one scenario.
@@ -106,8 +101,7 @@ impl Default for OracleConfig {
             check_fusion: true,
             threaded_runs: 4,
             threaded_items: 6_000,
-            workers: None,
-            pinning: PinningConfig::default(),
+            engine: EngineConfig::default(),
             minimize: true,
             minimize_budget: 200,
         }

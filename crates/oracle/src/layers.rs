@@ -6,9 +6,7 @@ use spinstreams_codegen::{
     build_actor_graph, CodegenError, CodegenOptions, FusionGroup, FusionStrategy,
 };
 use spinstreams_core::{KeyDistribution, OperatorId, Selectivity, ServiceTime, Topology};
-use spinstreams_runtime::{
-    execute, EngineConfig, EngineError, Executor, ExecutorKind, PinningConfig, SimConfig,
-};
+use spinstreams_runtime::{execute, EngineError, Executor, SimConfig};
 use std::fmt;
 
 /// Errors from an oracle pipeline stage.
@@ -63,22 +61,6 @@ pub fn sim_executor(seed: u64) -> Executor {
         seed,
         intrinsic_time: false,
         ..SimConfig::default()
-    })
-}
-
-/// The wall-clock executor used by the smoke layer: a worker pool of
-/// `workers` threads (`None` or `Some(0)` = one worker per core). The
-/// oracle's rate comparisons must hold at every pool size — and under core
-/// pinning, which reorders nothing semantically but changes every thread's
-/// placement.
-pub fn threaded_executor(seed: u64, workers: Option<usize>, pinning: &PinningConfig) -> Executor {
-    Executor::Threads(EngineConfig {
-        seed,
-        executor: ExecutorKind::Pool {
-            workers: workers.unwrap_or(0),
-        },
-        pinning: pinning.clone(),
-        ..EngineConfig::default()
     })
 }
 

@@ -41,8 +41,7 @@ pub use compare::{
 };
 pub use config::{OracleConfig, Tolerances};
 pub use layers::{
-    annotate, calibrate, measure, measure_with, sim_executor, threaded_executor, LayerMeasurement,
-    OracleError,
+    annotate, calibrate, measure, measure_with, sim_executor, LayerMeasurement, OracleError,
 };
 pub use minimize::{minimize, MinimalCase};
 pub use scenario::{scenario, Scenario};

@@ -2,13 +2,14 @@
 
 use crate::{
     annotate, compare_layer, compare_threaded, measure, measure_with, minimize, scenario,
-    sim_executor, threaded_executor, Divergence, DivergenceKind, Layer, MinimalCase, OracleConfig,
-    RateTable, Scenario,
+    sim_executor, Divergence, DivergenceKind, Layer, MinimalCase, OracleConfig, RateTable,
+    Scenario,
 };
 use spinstreams_analysis::{eliminate_bottlenecks, evaluate_with_replicas, steady_state};
 use spinstreams_codegen::{FusionGroup, FusionStrategy};
 use spinstreams_core::{KeyDistribution, OperatorId, Topology};
 use spinstreams_operators::OperatorKind;
+use spinstreams_runtime::{EngineConfig, Executor};
 
 /// The outcome of evaluating one scenario through every oracle layer.
 #[derive(Debug, Clone)]
@@ -161,7 +162,10 @@ pub fn evaluate(
             &[],
             cfg.threaded_items,
             seed,
-            &threaded_executor(seed, cfg.workers, &cfg.pinning),
+            &Executor::Threads(EngineConfig {
+                seed,
+                ..cfg.engine.clone()
+            }),
         ) {
             Ok(thr) => {
                 divergences.extend(compare_threaded(

@@ -727,6 +727,16 @@ impl Default for Executor {
     }
 }
 
+impl Executor {
+    /// The base RNG seed of either executor's configuration.
+    pub fn seed(&self) -> u64 {
+        match self {
+            Executor::Threads(c) => c.seed,
+            Executor::VirtualTime(c) => c.seed,
+        }
+    }
+}
+
 /// Runs `graph` on the selected executor.
 ///
 /// # Errors

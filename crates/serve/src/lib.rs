@@ -69,5 +69,6 @@ mod service;
 
 pub use cache::{CacheStats, CachedPlan, PlanCache};
 pub use service::{
-    ServeConfig, ServeError, StreamService, SubmitReceipt, SubmitRequest, TenantState, TenantStatus,
+    calibrate, ServeConfig, ServeError, StreamService, SubmitReceipt, SubmitRequest, TenantState,
+    TenantStatus,
 };

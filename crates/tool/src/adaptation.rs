@@ -32,6 +32,7 @@ use crate::adaptive::{run_adaptive, AdaptiveRunConfig, OperatorFault};
 use crate::harness::HarnessError;
 use spinstreams_analysis::{AdaptiveConfig, DriftConfig};
 use spinstreams_core::{KeyDistribution, OperatorSpec, ServiceTime, Topology, TUPLE_ARITY};
+use spinstreams_runtime::EngineConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -108,7 +109,6 @@ fn scenario_topology() -> Topology {
 fn scenario_config(seed: u64) -> AdaptiveRunConfig {
     AdaptiveRunConfig {
         items: 6_000,
-        seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xADA),
         controller: AdaptiveConfig {
             drift: DriftConfig {
                 threshold: 0.5,
@@ -126,13 +126,16 @@ fn scenario_config(seed: u64) -> AdaptiveRunConfig {
             max_replicas: 4,
             min_samples: 100,
         },
-        batch_size: 8,
-        workers: None,
-        checkpoint_interval: 500,
         telemetry_interval: Duration::from_millis(50),
         window_ticks: 4,
         faults: Vec::new(),
         capture_sink: true,
+        engine: EngineConfig {
+            seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xADA),
+            batch_size: 8,
+            checkpoint_interval: Some(500),
+            ..EngineConfig::default()
+        },
     }
 }
 
@@ -345,7 +348,7 @@ mod tests {
             .is_partitioned());
         let cfg = scenario_config(7);
         assert!(cfg.capture_sink);
-        assert!(cfg.checkpoint_interval > 0);
+        assert!(cfg.engine.checkpoint_interval.unwrap_or(0) > 0);
     }
 
     #[test]

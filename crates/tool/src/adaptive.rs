@@ -37,9 +37,9 @@ use spinstreams_codegen::{build_actor_graph, CodegenOptions};
 use spinstreams_core::{KeyDistribution, StateClass, Topology, Tuple, TUPLE_ARITY};
 use spinstreams_runtime::operators::{FaultConfig, FaultInjector};
 use spinstreams_runtime::{
-    run_with_telemetry, ActorId, Backoff, EngineConfig, ExecutorKind, KeyHandoff, Outputs,
-    ReconfigHandle, ReconfigOp, Route, RunReport, StateSnapshot, StreamOperator, SupervisorSpec,
-    TelemetryConfig, TelemetryReport, TelemetrySnapshot,
+    run_with_telemetry, ActorId, Backoff, EngineConfig, KeyHandoff, Outputs, ReconfigHandle,
+    ReconfigOp, Route, RunReport, StateSnapshot, StreamOperator, SupervisorSpec, TelemetryConfig,
+    TelemetryReport, TelemetrySnapshot,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -67,20 +67,10 @@ pub struct OperatorFault {
 pub struct AdaptiveRunConfig {
     /// Number of items the source generates.
     pub items: u64,
-    /// RNG seed for codegen and the engine.
-    pub seed: u64,
     /// The control-loop knobs (drift threshold, cooldown, hysteresis,
     /// replica budget, sample floor). `controller.max_replicas` doubles as
     /// the per-operator slot provision.
     pub controller: AdaptiveConfig,
-    /// Envelope batch size (`EngineConfig::batch_size`).
-    pub batch_size: usize,
-    /// Pool workers: `Some(n)` = `n` threads; `None` or `Some(0)` = one per
-    /// core.
-    pub workers: Option<usize>,
-    /// Epoch-aligned checkpoint cadence in source items. Required (not
-    /// optional): migrations apply at epoch barriers.
-    pub checkpoint_interval: u64,
     /// Telemetry sampling interval — the controller's tick period.
     pub telemetry_interval: Duration,
     /// Trailing snapshots per profiling window: counters fed to the
@@ -94,21 +84,27 @@ pub struct AdaptiveRunConfig {
     /// evidence for the exactly-once / per-key-aggregate comparison.
     /// Costs a mutex lock per sink tuple; leave off outside oracle runs.
     pub capture_sink: bool,
+    /// The engine the run deploys on; its seed also seeds codegen and the
+    /// fault schedules. `checkpoint_interval` is required: migrations
+    /// apply at epoch barriers. The run installs its own reconfiguration
+    /// handle.
+    pub engine: EngineConfig,
 }
 
 impl Default for AdaptiveRunConfig {
     fn default() -> Self {
         AdaptiveRunConfig {
             items: 50_000,
-            seed: 0xADA9,
             controller: AdaptiveConfig::default(),
-            batch_size: 1,
-            workers: None,
-            checkpoint_interval: 500,
             telemetry_interval: Duration::from_millis(20),
             window_ticks: 4,
             faults: Vec::new(),
             capture_sink: false,
+            engine: EngineConfig {
+                seed: 0xADA9,
+                checkpoint_interval: Some(500),
+                ..EngineConfig::default()
+            },
         }
     }
 }
@@ -330,18 +326,18 @@ fn translate_change(
 ///
 /// # Errors
 ///
-/// Propagates codegen and engine failures; rejects a zero
-/// `checkpoint_interval` (migrations need epoch barriers) with
+/// Propagates codegen and engine failures; rejects an engine without
+/// checkpointing (migrations need epoch barriers) with
 /// [`HarnessError::Measurement`].
 pub fn run_adaptive(
     topo: &Topology,
     source_keys: Option<KeyDistribution>,
     cfg: &AdaptiveRunConfig,
 ) -> Result<AdaptiveOutcome, HarnessError> {
-    if cfg.checkpoint_interval == 0 {
+    if cfg.engine.checkpoint_interval.unwrap_or(0) == 0 {
         return Err(HarnessError::Measurement {
-            reason: "adaptive runs need checkpoint_interval > 0: migrations apply at epoch \
-                     barriers"
+            reason: "adaptive runs need epoch barriers to migrate against: set a checkpoint \
+                     interval (--checkpoint N or <settings checkpoint-interval=\"N\"/>)"
                 .into(),
         });
     }
@@ -365,7 +361,7 @@ pub fn run_adaptive(
         .collect();
     let opts = CodegenOptions {
         items: cfg.items,
-        seed: cfg.seed,
+        seed: cfg.engine.seed,
         provision,
         ..CodegenOptions::default()
     };
@@ -415,7 +411,7 @@ pub fn run_adaptive(
                 }
             }
         }
-        let seed = cfg.seed;
+        let seed = cfg.engine.seed;
         graph.map_workers(|id, op| match by_actor.get(&id.0) {
             Some(f) => {
                 let mut fault = FaultConfig::panics(
@@ -465,14 +461,8 @@ pub fn run_adaptive(
 
     let handle = ReconfigHandle::new();
     let engine = EngineConfig {
-        seed: cfg.seed,
-        batch_size: cfg.batch_size.max(1),
-        checkpoint_interval: Some(cfg.checkpoint_interval),
-        executor: ExecutorKind::Pool {
-            workers: cfg.workers.unwrap_or(0),
-        },
         reconfig: Some(handle.clone()),
-        ..EngineConfig::default()
+        ..cfg.engine.clone()
     };
 
     let state = Arc::new(Mutex::new(LoopState {
@@ -709,8 +699,6 @@ mod tests {
     fn config() -> AdaptiveRunConfig {
         AdaptiveRunConfig {
             items: 10_000,
-            seed: 11,
-            batch_size: 8,
             controller: AdaptiveConfig {
                 drift: DriftConfig {
                     threshold: 0.5,
@@ -722,8 +710,13 @@ mod tests {
                 max_replicas: 6,
                 min_samples: 100,
             },
-            checkpoint_interval: 500,
             telemetry_interval: Duration::from_millis(20),
+            engine: EngineConfig {
+                seed: 11,
+                batch_size: 8,
+                checkpoint_interval: Some(500),
+                ..EngineConfig::default()
+            },
             ..AdaptiveRunConfig::default()
         }
     }
@@ -785,13 +778,13 @@ mod tests {
     #[test]
     fn zero_checkpoint_interval_is_rejected() {
         let topo = pipeline();
-        let cfg = AdaptiveRunConfig {
-            checkpoint_interval: 0,
-            ..config()
-        };
-        assert!(matches!(
-            run_adaptive(&topo, None, &cfg),
-            Err(HarnessError::Measurement { .. })
-        ));
+        for checkpoint_interval in [Some(0), None] {
+            let mut cfg = config();
+            cfg.engine.checkpoint_interval = checkpoint_interval;
+            assert!(matches!(
+                run_adaptive(&topo, None, &cfg),
+                Err(HarnessError::Measurement { .. })
+            ));
+        }
     }
 }

@@ -48,7 +48,11 @@
 //!
 //! `run`, `chaos`, `monitor`, `inspect` and `oracle` also accept
 //! `--pin-cores 0,1,2` to pin the threaded engine's threads (stage-sharded;
-//! best-effort, no-op on platforms without affinity support).
+//! best-effort, no-op on platforms without affinity support). One parser,
+//! [`engine_config`], reads `--batch`, `--workers`, `--checkpoint` and
+//! `--pin-cores` for every subcommand: a flag beats the document's
+//! `<settings>`, which beats `EngineConfig::default()` (batch cap 64, one
+//! worker per core).
 //!
 //! Topology files follow the §4.1 XML formalism (see `spinstreams-xml`);
 //! operators whose specs carry registry `kind` tags are runnable.
@@ -62,18 +66,17 @@ use spinstreams_codegen::{build_actor_graph, emit_rust_source, CodegenOptions};
 use spinstreams_core::{OperatorId, StateClass, Topology};
 use spinstreams_oracle::{format_report, run_sweep, write_artifacts, OracleConfig};
 use spinstreams_runtime::Executor;
-use spinstreams_runtime::{
-    run_with_telemetry, EngineConfig, ExecutorKind, PinningConfig, TelemetryConfig,
-};
+use spinstreams_runtime::{run_with_telemetry, EngineConfig, ExecutorKind, TelemetryConfig};
 use spinstreams_serve::{ServeConfig, StreamService, SubmitRequest};
 use spinstreams_tool::{
-    adaptation_table, adaptive_table, chaos_table, comparison_table, drift_json,
-    experiment_executor, inspect, inspect_json, inspect_table, monitor_table, multitenant_table,
-    predict_vs_measure, predict_vs_measure_telemetry, predicted_actor_rates, prometheus_text,
-    run_adaptation_layer, run_adaptive, run_chaos, run_chaos_with_telemetry, run_multitenant_layer,
-    tenant_topology, topology_dot, AdaptiveRunConfig, ChaosConfig, DriftExporter,
+    adaptation_table, adaptive_table, chaos_table, comparison_table, drift_json, engine_config,
+    experiment_executor, flag_value, inspect, inspect_json, inspect_table, monitor_table,
+    multitenant_table, predict_vs_measure, predict_vs_measure_telemetry, predicted_actor_rates,
+    prometheus_text, run_adaptation_layer, run_adaptive, run_chaos, run_chaos_with_telemetry,
+    run_multitenant_layer, tenant_topology, topology_dot, AdaptiveRunConfig, ChaosConfig,
+    DriftExporter,
 };
-use spinstreams_xml::{runtime_settings_from_xml, topology_from_xml};
+use spinstreams_xml::{runtime_settings_from_xml, topology_from_xml, RuntimeSettings};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -114,7 +117,10 @@ fn usage() -> ExitCode {
                      --span-sample N (trace every Nth tuple; default 64, 0 = off),\n\
                      --min-samples N (re-profiler floor, default 200), --json\n\
          \n\
-         --batch N defaults to the topology file's <settings batch-size=\"N\"/> (or 1);\n\
+         The engine flags below are read by one parser wherever the engine runs; each\n\
+         beats the topology file's <settings>, which beats the engine default.\n\
+         --batch N caps envelope batches (default: the file's <settings batch-size=\"N\"/>,\n\
+         else 64);\n\
          --workers N sizes the worker pool that runs the actors (0 = one per core;\n\
          default: the file's <settings workers=\"N\"/>, else one per core);\n\
          --checkpoint N enables epoch-aligned checkpointing every N source items (0 = off;\n\
@@ -144,13 +150,6 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn telemetry_config(args: &[String]) -> TelemetryConfig {
     let interval_ms = flag_value(args, "--interval-ms")
         .and_then(|v| v.parse::<u64>().ok())
@@ -166,11 +165,19 @@ fn telemetry_config(args: &[String]) -> TelemetryConfig {
         .with_span_sample(span_sample)
 }
 
-fn load(path: &str) -> Result<(Topology, spinstreams_xml::RuntimeSettings), String> {
+fn load(path: &str) -> Result<(Topology, RuntimeSettings), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let topo = topology_from_xml(&text).map_err(|e| format!("{path}: {e}"))?;
     let settings = runtime_settings_from_xml(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok((topo, settings))
+}
+
+/// The pool size an engine runs on, for the subcommands' banners.
+fn pool_label(engine: &EngineConfig) -> String {
+    match engine.executor {
+        ExecutorKind::Pool { workers: 0 } => "auto workers".to_string(),
+        ExecutorKind::Pool { workers } => format!("{workers} worker(s)"),
+    }
 }
 
 /// `spinstreams oracle` — the differential sweep. Unlike every other
@@ -294,34 +301,20 @@ fn oracle_cmd(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--no-minimize") {
         cfg.minimize = false;
     }
-    if let Some(raw) = flag_value(args, "--workers") {
-        match raw.parse::<usize>() {
-            Ok(n) => cfg.workers = Some(n),
-            Err(_) => {
-                eprintln!("--workers must be a non-negative integer (0 = one per core)");
-                return ExitCode::FAILURE;
-            }
+    cfg.engine = match engine_config(args, &RuntimeSettings::default()) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
-    }
-    if let Some(raw) = flag_value(args, "--pin-cores") {
-        match PinningConfig::parse(&raw) {
-            Ok(p) => cfg.pinning = p,
-            Err(e) => {
-                eprintln!("--pin-cores: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    };
     let artifacts = flag_value(args, "--artifacts");
 
     println!(
-        "oracle sweep: seeds {seed_start}..{} ({} threaded on {}, fission {}, fusion {}, minimize {})",
+        "oracle sweep: seeds {seed_start}..{} ({} threaded on pool ({}), fission {}, fusion {}, minimize {})",
         seed_start + seeds - 1,
         cfg.threaded_runs.min(seeds as usize),
-        match cfg.workers {
-            Some(0) | None => "pool (auto workers)".to_string(),
-            Some(n) => format!("pool ({n} workers)"),
-        },
+        pool_label(&cfg.engine),
         if cfg.check_fission { "on" } else { "off" },
         if cfg.check_fusion { "on" } else { "off" },
         if cfg.minimize { "on" } else { "off" },
@@ -370,19 +363,15 @@ fn oracle_cmd(args: &[String]) -> ExitCode {
 /// `oracle` it takes no topology positional: tenants arrive through script
 /// commands read from `--script FILE` (or stdin).
 fn serve_cmd(args: &[String]) -> ExitCode {
-    let workers = match flag_value(args, "--workers").map(|v| v.parse::<usize>()) {
-        None => 1,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("--workers must be a non-negative integer (0 = one per core)");
-            return ExitCode::FAILURE;
-        }
+    // Serving defaults to one shared worker.
+    let defaults = RuntimeSettings {
+        workers: Some(1),
+        ..RuntimeSettings::default()
     };
-    let batch = match flag_value(args, "--batch").map(|v| v.parse::<usize>()) {
-        None => 1,
-        Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("--batch must be a positive integer");
+    let engine = match engine_config(args, &defaults) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -404,20 +393,12 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         },
         None => Box::new(std::io::BufReader::new(std::io::stdin())),
     };
-    let engine = EngineConfig {
-        executor: ExecutorKind::Pool { workers },
-        batch_size: batch,
-        ..EngineConfig::default()
-    };
+    let pool = pool_label(&engine);
     let mut svc = StreamService::new(ServeConfig::new(engine));
     let admission = svc.config().admission;
     println!(
-        "serve: shared pool ({}), admission capacity {:.2} usable cores \
+        "serve: shared pool ({pool}), admission capacity {:.2} usable cores \
          (headroom {:.0}%)",
-        match workers {
-            0 => "auto workers".to_string(),
-            n => format!("{n} worker(s)"),
-        },
         admission.usable_cores(),
         admission.headroom * 100.0,
     );
@@ -623,59 +604,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // CLI flag wins over the document's <settings batch-size="N"/>.
-    let batch = match flag_value(&args, "--batch") {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--batch must be a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => xml_settings.batch_size.unwrap_or(1),
-    };
-    // Same precedence for the executor: --workers N beats the document's
-    // <settings workers="N"/>; absent both, one worker per core.
-    let workers = match flag_value(&args, "--workers") {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("--workers must be a non-negative integer (0 = one per core)");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => xml_settings.workers,
-    };
-    // And for checkpointing: --checkpoint N beats the document's
-    // <settings checkpoint-interval="N"/>; `--checkpoint 0` forces it off.
-    let checkpoint = match flag_value(&args, "--checkpoint") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) => Some(n).filter(|n| *n > 0),
-            Err(_) => {
-                eprintln!("--checkpoint must be a non-negative integer (0 = off)");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => xml_settings.checkpoint_interval,
-    };
-    // And for core pinning: --pin-cores 0,1,2 beats the document's
-    // <settings pin-cores="..."/>. Pinning is best-effort — on platforms
-    // without affinity support the engine warns once and runs unpinned —
-    // and only applies to the threaded engine (virtual time has no
-    // threads to pin).
-    let pinning = match flag_value(&args, "--pin-cores") {
-        Some(raw) => match PinningConfig::parse(&raw) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--pin-cores: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => xml_settings
-            .pin_cores
-            .clone()
-            .map(PinningConfig::on_cores)
-            .unwrap_or_default(),
+    let engine = match engine_config(&args, &xml_settings) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
 
     match cmd.as_str() {
@@ -864,13 +798,6 @@ fn main() -> ExitCode {
                         }
                     }
                 }
-                let Some(interval) = checkpoint else {
-                    eprintln!(
-                        "run --adaptive needs epoch barriers to migrate against: pass \
-                         --checkpoint N or add <settings checkpoint-interval=\"N\"/>"
-                    );
-                    return ExitCode::FAILURE;
-                };
                 let interval_ms = flag_value(&args, "--interval-ms")
                     .and_then(|v| v.parse::<u64>().ok())
                     .unwrap_or(100)
@@ -883,16 +810,16 @@ fn main() -> ExitCode {
                 });
                 let mut cfg = AdaptiveRunConfig {
                     items,
-                    batch_size: batch,
-                    workers,
-                    checkpoint_interval: interval,
                     controller,
                     telemetry_interval: Duration::from_millis(interval_ms),
                     ..AdaptiveRunConfig::default()
                 };
-                if let Some(seed) = flag_value(&args, "--seed").and_then(|v| v.parse().ok()) {
-                    cfg.seed = seed;
-                }
+                // `--seed S` overrides the adaptive runs' own default seed.
+                let seed = flag_value(&args, "--seed").and_then(|v| v.parse().ok());
+                cfg.engine = EngineConfig {
+                    seed: seed.unwrap_or(cfg.engine.seed),
+                    ..engine
+                };
                 match run_adaptive(&topo, source_keys, &cfg) {
                     Ok(outcome) => {
                         if let Some(out) = flag_value(&args, "--telemetry") {
@@ -919,7 +846,7 @@ fn main() -> ExitCode {
             // Virtual time models checkpoint epochs deterministically (see
             // `SimConfig::checkpoint_interval`); it does not model batching.
             if let Executor::VirtualTime(sim) = &mut executor {
-                sim.checkpoint_interval = checkpoint;
+                sim.checkpoint_interval = engine.checkpoint_interval;
             }
             match flag_value(&args, "--telemetry") {
                 Some(out) => {
@@ -975,13 +902,12 @@ fn main() -> ExitCode {
             if let Some(p) = flag_value(&args, "--panic-prob").and_then(|v| v.parse().ok()) {
                 cfg.panic_prob = p;
             }
-            if let Some(seed) = flag_value(&args, "--seed").and_then(|v| v.parse().ok()) {
-                cfg.seed = seed;
-            }
-            cfg.batch_size = batch;
-            cfg.workers = workers;
-            cfg.checkpoint_interval = checkpoint;
-            cfg.pinning = pinning.clone();
+            // `--seed S` overrides the chaos harness's own default seed.
+            let seed = flag_value(&args, "--seed").and_then(|v| v.parse().ok());
+            cfg.engine = EngineConfig {
+                seed: seed.unwrap_or(cfg.engine.seed),
+                ..engine
+            };
             cfg.crash_at_epoch = match flag_value(&args, "--crash-at-epoch") {
                 Some(raw) => match raw.parse::<u64>() {
                     Ok(n) if n > 0 => Some(n),
@@ -1081,15 +1007,6 @@ fn main() -> ExitCode {
                     println!("{}", monitor_table(snap, verdicts));
                 }
             });
-            let engine = EngineConfig {
-                batch_size: batch,
-                checkpoint_interval: checkpoint,
-                executor: ExecutorKind::Pool {
-                    workers: workers.unwrap_or(0),
-                },
-                pinning: pinning.clone(),
-                ..EngineConfig::default()
-            };
             match run_with_telemetry(plan.graph, &engine, &tcfg) {
                 Ok((run_report, telemetry)) => {
                     println!(
@@ -1119,21 +1036,15 @@ fn main() -> ExitCode {
             if flag_value(&args, "--span-sample").is_none() {
                 tcfg = tcfg.with_span_sample(64);
             }
-            let threaded = args.iter().any(|a| a == "--threaded") || workers.is_some();
+            // A pool size (flag or document) implies the threaded engine.
+            let threaded = args.iter().any(|a| a == "--threaded" || a == "--workers")
+                || xml_settings.workers.is_some();
             let executor = if threaded {
-                Executor::Threads(EngineConfig {
-                    batch_size: batch,
-                    checkpoint_interval: checkpoint,
-                    executor: ExecutorKind::Pool {
-                        workers: workers.unwrap_or(0),
-                    },
-                    pinning: pinning.clone(),
-                    ..EngineConfig::default()
-                })
+                Executor::Threads(engine)
             } else {
                 let mut executor = experiment_executor(0x1195EC7);
                 if let Executor::VirtualTime(sim) = &mut executor {
-                    sim.checkpoint_interval = checkpoint;
+                    sim.checkpoint_interval = engine.checkpoint_interval;
                 }
                 executor
             };

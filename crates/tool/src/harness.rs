@@ -1,9 +1,11 @@
-//! Calibration and predict-vs-measure drivers.
+//! Predict-vs-measure drivers. The §4.1 calibration step they start from
+//! is `spinstreams_serve::calibrate`, re-exported by this crate.
 
 use spinstreams_analysis::{evaluate_with_replicas, steady_state, SteadyStateReport};
 use spinstreams_codegen::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup};
-use spinstreams_core::{KeyDistribution, OperatorId, Selectivity, ServiceTime, Topology};
+use spinstreams_core::{KeyDistribution, OperatorId, Topology};
 use spinstreams_runtime::{execute, EngineError, Executor, RunReport};
+use spinstreams_serve::ServeError;
 use std::fmt;
 
 /// Errors from the harness pipeline.
@@ -42,6 +44,18 @@ impl From<CodegenError> for HarnessError {
 impl From<EngineError> for HarnessError {
     fn from(e: EngineError) -> Self {
         HarnessError::Engine(e)
+    }
+}
+
+impl From<ServeError> for HarnessError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::Codegen(e) => HarnessError::Codegen(e),
+            ServeError::Engine(e) => HarnessError::Engine(e),
+            other => HarnessError::Measurement {
+                reason: other.to_string(),
+            },
+        }
     }
 }
 
@@ -119,68 +133,10 @@ pub fn experiment_executor(seed: u64) -> Executor {
     })
 }
 
-/// The base RNG seed of an executor configuration.
-fn executor_seed(executor: &Executor) -> u64 {
-    match executor {
-        Executor::Threads(c) => c.seed,
-        Executor::VirtualTime(c) => c.seed,
-    }
-}
-
 /// Number of items to generate so a run lasts roughly `secs` at the given
 /// predicted throughput (bounded to keep degenerate predictions sane).
 pub fn items_for_duration(predicted_throughput: f64, secs: f64) -> u64 {
     ((predicted_throughput * secs) as u64).clamp(2_000, 2_000_000)
-}
-
-/// Executes `topo` once and rewrites every operator's profiled service time
-/// and selectivity from the measured metrics (the §4.1 profiling step).
-///
-/// * service time ← mean busy time per consumed item;
-/// * selectivity ← identity input, measured `items_out / items_in` output
-///   (an equivalent rate factor for the §3.4 model);
-/// * the source's spec (generation rate) is left untouched.
-///
-/// Operators that consumed fewer than `min_samples` items keep their prior
-/// annotations (low-probability paths may starve in a short calibration
-/// run).
-///
-/// # Errors
-///
-/// Propagates codegen/engine failures.
-pub fn calibrate(
-    topo: &Topology,
-    source_keys: Option<&KeyDistribution>,
-    items: u64,
-    min_samples: u64,
-    executor: &Executor,
-) -> Result<Topology, HarnessError> {
-    let opts = CodegenOptions {
-        items,
-        seed: executor_seed(executor) ^ 0xCA11_B8A7,
-        ..CodegenOptions::default()
-    };
-    let plan = build_actor_graph(topo, source_keys.cloned(), &[], &[], &opts)?;
-    let report = execute(plan.graph, executor)?;
-
-    let mut b = topo.to_builder();
-    for id in topo.operator_ids() {
-        if id == topo.source() {
-            continue;
-        }
-        let actor = report.actor(plan.input_actor[id.0]);
-        if actor.items_in < min_samples {
-            continue;
-        }
-        let busy_per_item = actor.busy.as_secs_f64() / actor.items_in as f64;
-        let out_ratio = actor.items_out as f64 / actor.items_in as f64;
-        let spec = b.operator_mut(id);
-        spec.service_time = ServiceTime::from_secs(busy_per_item);
-        spec.selectivity = Selectivity::output(out_ratio.max(0.0));
-    }
-    b.build().map_err(|e| HarnessError::Measurement {
-        reason: format!("calibrated topology failed validation: {e}"),
-    })
 }
 
 /// Predicts the steady state of `topo` (optionally parallelized with
@@ -212,7 +168,7 @@ pub fn predict_vs_measure(
 
     let opts = CodegenOptions {
         items,
-        seed: executor_seed(executor),
+        seed: executor.seed(),
         ..CodegenOptions::default()
     };
     let plan = build_actor_graph(topo, source_keys.cloned(), replicas, fusions, &opts)?;
@@ -258,7 +214,8 @@ pub fn predict_vs_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinstreams_core::OperatorSpec;
+    use spinstreams_core::{OperatorSpec, ServiceTime};
+    use spinstreams_serve::calibrate;
 
     fn engine() -> Executor {
         Executor::VirtualTime(spinstreams_runtime::SimConfig {

@@ -41,6 +41,9 @@
 //!   names the stale annotation when they disagree.
 //! * [`ascii_series`] / [`comparison_table`] — plain-text rendering used by
 //!   the figure/table binaries in `spinstreams-bench`.
+//! * [`engine_config`] — the command line's one parser of engine settings:
+//!   flag, then the document's `<settings>`, then
+//!   [`EngineConfig::default`](spinstreams_runtime::EngineConfig).
 
 #![warn(missing_docs)]
 
@@ -52,6 +55,7 @@ mod format;
 mod harness;
 mod inspect;
 mod multitenant;
+mod settings;
 mod telemetry;
 
 pub use adaptation::{adaptation_table, run_adaptation_layer, AdaptationReport};
@@ -65,8 +69,8 @@ pub use chaos::{
 pub use dot::topology_dot;
 pub use format::{ascii_series, comparison_table, monitor_table, prometheus_text};
 pub use harness::{
-    calibrate, experiment_executor, items_for_duration, predict_vs_measure, Comparison,
-    HarnessError, OperatorComparison,
+    experiment_executor, items_for_duration, predict_vs_measure, Comparison, HarnessError,
+    OperatorComparison,
 };
 pub use inspect::{
     inspect, inspect_json, inspect_table, observed_operators, operator_counters, Inspection,
@@ -76,6 +80,9 @@ pub use multitenant::{
     multitenant_table, run_multitenant_layer, run_multitenant_layer_with, tenant_topology,
     MultiTenantConfig, MultiTenantReport, TenantOutcome,
 };
+pub use settings::{engine_config, flag_value};
+/// The §4.1 profiling step, shared with the serving front end.
+pub use spinstreams_serve::calibrate;
 pub use telemetry::{
     drift_json, predict_vs_measure_telemetry, predicted_actor_rates, DriftExporter,
     TelemetryExport, TelemetryRun,

@@ -32,7 +32,7 @@ use crate::harness::HarnessError;
 use spinstreams_analysis::steady_state;
 use spinstreams_core::{OperatorSpec, ServiceTime, Topology};
 use spinstreams_runtime::{EngineConfig, ExecutorKind, TenantRun};
-use spinstreams_serve::{ServeConfig, ServeError, StreamService, SubmitRequest, TenantState};
+use spinstreams_serve::{ServeConfig, StreamService, SubmitRequest, TenantState};
 use std::fmt::Write as _;
 
 /// Shape of one multi-tenant oracle scenario.
@@ -42,13 +42,11 @@ pub struct MultiTenantConfig {
     pub tenants: usize,
     /// Items each tenant's source generates per launch.
     pub items: u64,
-    /// Envelope batch size of the shared engine.
-    pub batch_size: usize,
-    /// Pool workers (`None` or `Some(0)` = one per core).
-    pub workers: Option<usize>,
     /// Symmetric relative error allowed between the summed measured
     /// aggregate and the summed Algorithm 1 predictions.
     pub tolerance: f64,
+    /// The shared engine every scenario service launches on.
+    pub engine: EngineConfig,
 }
 
 impl Default for MultiTenantConfig {
@@ -56,9 +54,12 @@ impl Default for MultiTenantConfig {
         MultiTenantConfig {
             tenants: 3,
             items: 1_200,
-            batch_size: 8,
-            workers: Some(1),
             tolerance: 0.25,
+            engine: EngineConfig {
+                batch_size: 8,
+                executor: ExecutorKind::Pool { workers: 1 },
+                ..EngineConfig::default()
+            },
         }
     }
 }
@@ -151,27 +152,10 @@ pub fn tenant_topology(seed: u64, idx: usize) -> Topology {
 /// (the seeded annotations are trusted so Algorithm 1 is the oracle) and
 /// fusion is off so the `sink` actor keeps its name in the run report.
 fn scenario_service(cfg: &MultiTenantConfig) -> StreamService {
-    let engine = EngineConfig {
-        executor: ExecutorKind::Pool {
-            workers: cfg.workers.unwrap_or(0),
-        },
-        batch_size: cfg.batch_size.max(1),
-        ..EngineConfig::default()
-    };
-    let mut serve = ServeConfig::new(engine);
+    let mut serve = ServeConfig::new(cfg.engine.clone());
     serve.calibration_items = 0;
     serve.fuse = false;
     StreamService::new(serve)
-}
-
-fn serve_err(e: ServeError) -> HarnessError {
-    match e {
-        ServeError::Codegen(e) => HarnessError::Codegen(e),
-        ServeError::Engine(e) => HarnessError::Engine(e),
-        other => HarnessError::Measurement {
-            reason: other.to_string(),
-        },
-    }
 }
 
 /// Sink tuples delivered in one tenant's run: `items_in` of the actor
@@ -227,9 +211,8 @@ pub fn run_multitenant_layer_with(
     let mut solo_runs = Vec::with_capacity(n);
     for (i, topo) in topologies.iter().enumerate() {
         let mut svc = scenario_service(cfg);
-        let receipt = svc
-            .submit(SubmitRequest::new(format!("t{i}"), topo.clone()).with_items(cfg.items))
-            .map_err(serve_err)?;
+        let receipt =
+            svc.submit(SubmitRequest::new(format!("t{i}"), topo.clone()).with_items(cfg.items))?;
         if receipt.state != TenantState::Admitted {
             divergences.push(format!(
                 "solo tenant t{i} not admitted: {:?} ({:?})",
@@ -238,7 +221,7 @@ pub fn run_multitenant_layer_with(
             solo_runs.push(None);
             continue;
         }
-        let mut runs = svc.launch().map_err(serve_err)?;
+        let mut runs = svc.launch()?;
         if runs.len() != 1 {
             return Err(HarnessError::Measurement {
                 reason: format!("solo launch of t{i} ran {} tenant(s)", runs.len()),
@@ -251,9 +234,8 @@ pub fn run_multitenant_layer_with(
     let mut svc = scenario_service(cfg);
     let mut demands = Vec::with_capacity(n);
     for (i, topo) in topologies.iter().enumerate() {
-        let receipt = svc
-            .submit(SubmitRequest::new(format!("t{i}"), topo.clone()).with_items(cfg.items))
-            .map_err(serve_err)?;
+        let receipt =
+            svc.submit(SubmitRequest::new(format!("t{i}"), topo.clone()).with_items(cfg.items))?;
         demands.push(receipt.verdict.demand_cores());
         // (a) every paced tenant must pass the admission model.
         if receipt.state != TenantState::Admitted {
@@ -263,7 +245,7 @@ pub fn run_multitenant_layer_with(
             ));
         }
     }
-    let concurrent = svc.launch().map_err(serve_err)?;
+    let concurrent = svc.launch()?;
 
     let mut tenants = Vec::with_capacity(n);
     let mut aggregate_measured = 0.0;
@@ -315,9 +297,8 @@ pub fn run_multitenant_layer_with(
     // (d) the plan cache is coherent: the same topology resubmitted after
     // the launch must hit and reproduce the byte-identical plan.
     let before = svc.status().first().map(|t| t.plan_checksum);
-    let warm = svc
-        .submit(SubmitRequest::new("t0-warm", topologies[0].clone()).with_items(cfg.items))
-        .map_err(serve_err)?;
+    let warm =
+        svc.submit(SubmitRequest::new("t0-warm", topologies[0].clone()).with_items(cfg.items))?;
     if !warm.cache_hit {
         divergences.push("resubmission of tenant t0's topology missed the plan cache".into());
     } else if before.is_some_and(|c| c != warm.plan_checksum) {

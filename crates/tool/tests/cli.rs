@@ -1,7 +1,11 @@
 //! Smoke tests of the `spinstreams` command-line tool: every sub-command
 //! runs against a temporary XML topology and produces the expected output.
 
+use spinstreams_runtime::{EngineConfig, ExecutorKind};
+use spinstreams_tool::engine_config;
+use spinstreams_xml::{runtime_settings_from_xml, RuntimeSettings};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const TOPOLOGY: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 <topology name="cli-test">
@@ -26,10 +30,34 @@ const TOPOLOGY: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 </topology>
 "#;
 
-fn topology_file() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("ss-cli-{}.xml", std::process::id()));
+/// A topology file of one test's own, removed when dropped. Tests run in
+/// parallel in one process, so a shared path could be read by one test
+/// while another rewrites it.
+struct TopologyFile(std::path::PathBuf);
+
+impl std::ops::Deref for TopologyFile {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TopologyFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn topology_file() -> TopologyFile {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ss-cli-{}-{}.xml",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&path, TOPOLOGY).expect("write temp topology");
-    path
+    TopologyFile(path)
 }
 
 fn run_cli(args: &[&str]) -> (String, String, bool) {
@@ -264,4 +292,80 @@ fn monitor_rejects_unknown_format() {
     let (_, stderr, ok) = run_cli(&["monitor", path.to_str().unwrap(), "--format", "xml"]);
     assert!(!ok);
     assert!(stderr.contains("--format"));
+}
+
+fn strings(args: &[&str]) -> Vec<String> {
+    args.iter().map(|a| a.to_string()).collect()
+}
+
+#[test]
+fn engine_flags_beat_document_settings_which_beat_defaults() {
+    let document = TOPOLOGY.replace(
+        "<topology name=\"cli-test\">",
+        "<topology name=\"cli-test\">\n  \
+         <settings batch-size=\"8\" workers=\"3\" checkpoint-interval=\"100\"/>",
+    );
+    let settings = runtime_settings_from_xml(&document).unwrap();
+
+    let engine = engine_config(&[], &settings).unwrap();
+    assert_eq!(engine.batch_size, 8);
+    assert_eq!(engine.executor, ExecutorKind::Pool { workers: 3 });
+    assert_eq!(engine.checkpoint_interval, Some(100));
+
+    let flags = strings(&["--batch", "16", "--workers", "2", "--checkpoint", "50"]);
+    let engine = engine_config(&flags, &settings).unwrap();
+    assert_eq!(engine.batch_size, 16);
+    assert_eq!(engine.executor, ExecutorKind::Pool { workers: 2 });
+    assert_eq!(engine.checkpoint_interval, Some(50));
+    let off = engine_config(&strings(&["--checkpoint", "0"]), &settings).unwrap();
+    assert_eq!(off.checkpoint_interval, None);
+
+    let engine = engine_config(&[], &RuntimeSettings::default()).unwrap();
+    let default = EngineConfig::default();
+    assert_eq!(default.batch_size, 64);
+    assert_eq!(engine.batch_size, default.batch_size);
+    assert_eq!(engine.executor, ExecutorKind::Pool { workers: 0 });
+    assert_eq!(engine.checkpoint_interval, None);
+}
+
+#[test]
+fn malformed_engine_flags_are_rejected_alike_by_every_subcommand() {
+    let path = topology_file();
+    let file = path.to_str().unwrap();
+    let with_document = [
+        "analyze", "optimize", "fuse", "autofuse", "codegen", "run", "chaos", "monitor", "inspect",
+        "dot",
+    ];
+    let cases: [(&str, &str, &str, &[&str]); 3] = [
+        (
+            "--batch",
+            "0",
+            "--batch must be a positive integer",
+            &["serve"],
+        ),
+        (
+            "--workers",
+            "x",
+            "--workers must be a non-negative integer (0 = one per core)",
+            &["serve", "oracle"],
+        ),
+        (
+            "--pin-cores",
+            "a",
+            "--pin-cores: bad core id \"a\" in pin-cores list",
+            &["oracle"],
+        ),
+    ];
+    for (flag, value, message, without_document) in cases {
+        let mut invocations: Vec<Vec<&str>> = with_document
+            .iter()
+            .map(|cmd| vec![*cmd, file, flag, value])
+            .collect();
+        invocations.extend(without_document.iter().map(|cmd| vec![*cmd, flag, value]));
+        for args in invocations {
+            let (_, stderr, ok) = run_cli(&args);
+            assert!(!ok, "{args:?} was accepted");
+            assert_eq!(stderr.trim(), message, "{args:?}");
+        }
+    }
 }

@@ -7,6 +7,7 @@
 
 use spinstreams::analysis::{AdaptiveConfig, DriftConfig};
 use spinstreams::core::{OperatorSpec, ServiceTime, Topology};
+use spinstreams::runtime::{EngineConfig, ExecutorKind};
 use spinstreams::tool::{run_adaptation_layer, run_adaptive, AdaptiveRunConfig, OperatorFault};
 use std::time::Duration;
 
@@ -36,12 +37,9 @@ fn pipeline() -> Topology {
     b.build().unwrap()
 }
 
-fn config(batch: usize, workers: Option<usize>) -> AdaptiveRunConfig {
+fn config(batch: usize, workers: usize) -> AdaptiveRunConfig {
     AdaptiveRunConfig {
         items: ITEMS,
-        seed: 11,
-        batch_size: batch,
-        workers,
         controller: AdaptiveConfig {
             drift: DriftConfig {
                 threshold: 0.5,
@@ -53,8 +51,14 @@ fn config(batch: usize, workers: Option<usize>) -> AdaptiveRunConfig {
             max_replicas: 6,
             min_samples: 100,
         },
-        checkpoint_interval: 500,
         telemetry_interval: Duration::from_millis(20),
+        engine: EngineConfig {
+            seed: 11,
+            batch_size: batch,
+            executor: ExecutorKind::Pool { workers },
+            checkpoint_interval: Some(500),
+            ..EngineConfig::default()
+        },
         ..AdaptiveRunConfig::default()
     }
 }
@@ -95,7 +99,7 @@ fn migration_fires_across_batch_sizes_default_pool() {
     for batch in [1usize, 8, 64] {
         let cfg = AdaptiveRunConfig {
             faults: vec![slowdown()],
-            ..config(batch, None)
+            ..config(batch, 0)
         };
         assert_migrated_exactly_once(&cfg, &format!("pool (one per core), batch {batch}"));
     }
@@ -106,7 +110,7 @@ fn migration_fires_across_batch_sizes_pool() {
     for batch in [1usize, 8, 64] {
         let cfg = AdaptiveRunConfig {
             faults: vec![slowdown()],
-            ..config(batch, Some(2))
+            ..config(batch, 2)
         };
         assert_migrated_exactly_once(&cfg, &format!("pool(2), batch {batch}"));
     }
@@ -125,7 +129,7 @@ fn migration_survives_a_racing_supervised_restart() {
             slow_after: Some((2_000, 300_000)),
             crash_after_tuples: Some(2_600),
         }],
-        ..config(8, None)
+        ..config(8, 0)
     };
     let outcome = run_adaptive(&pipeline(), None, &cfg).unwrap();
     assert!(
@@ -145,7 +149,7 @@ fn migration_survives_a_racing_supervised_restart() {
 
 #[test]
 fn clean_run_keeps_the_static_plan() {
-    let cfg = config(8, None);
+    let cfg = config(8, 0);
     let outcome = run_adaptive(&pipeline(), None, &cfg).unwrap();
     assert!(outcome.ticks > 0, "controller must tick");
     assert!(

@@ -54,7 +54,10 @@ fn chaos_run_at_five_percent_panics_completes_within_prediction() {
     let cfg = ChaosConfig {
         items: 8_000,
         panic_prob: 0.05,
-        seed: 0xFA117,
+        engine: EngineConfig {
+            seed: 0xFA117,
+            ..EngineConfig::default()
+        },
         ..ChaosConfig::default()
     };
     // The acceptance bar: run() returns Ok — no panic escapes, the
@@ -107,7 +110,10 @@ fn chaos_runs_are_reproducible_per_seed() {
     let cfg = ChaosConfig {
         items: 2_000,
         panic_prob: 0.08,
-        seed: 42,
+        engine: EngineConfig {
+            seed: 42,
+            ..EngineConfig::default()
+        },
         ..ChaosConfig::default()
     };
     let a = run_chaos(&topo, &cfg).unwrap();

@@ -13,13 +13,16 @@ use spinstreams::tool::{run_multitenant_layer_with, tenant_topology, MultiTenant
 
 const SEED: u64 = 7;
 
-fn scenario(workers: Option<usize>, batch: usize) -> MultiTenantConfig {
+fn scenario(workers: usize, batch: usize) -> MultiTenantConfig {
     MultiTenantConfig {
         tenants: 3,
         items: 600,
-        batch_size: batch,
-        workers,
         tolerance: 0.25,
+        engine: EngineConfig {
+            batch_size: batch,
+            executor: ExecutorKind::Pool { workers },
+            ..EngineConfig::default()
+        },
     }
 }
 
@@ -58,7 +61,7 @@ fn pipeline(pace_us: f64, work_us: f64) -> Topology {
 #[test]
 fn three_tenants_on_the_shared_pool_match_solo_across_batch_sizes() {
     for batch in [1, 8, 64] {
-        let report = run_multitenant_layer_with(SEED, &scenario(Some(1), batch))
+        let report = run_multitenant_layer_with(SEED, &scenario(1, batch))
             .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
         assert!(
             report.is_clean(),
@@ -80,7 +83,7 @@ fn three_tenants_on_the_shared_pool_match_solo_across_batch_sizes() {
 #[test]
 fn three_tenants_on_the_default_pool_match_solo_across_batch_sizes() {
     for batch in [1, 8, 64] {
-        let report = run_multitenant_layer_with(SEED + 1, &scenario(None, batch))
+        let report = run_multitenant_layer_with(SEED + 1, &scenario(0, batch))
             .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
         assert!(
             report.is_clean(),

@@ -19,13 +19,15 @@ use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_mailbox(c: &mut Criterion) {
-    // Same-thread enqueue/dequeue cost (the per-hop overhead every item
-    // pays in the threaded engine).
+    // Same-thread enqueue/dequeue cost of one envelope through the one
+    // blocking send (the per-hop overhead of an unbatched item).
     c.bench_function("mailbox_send_recv_uncontended", |b| {
         let (tx, rx) = channel(1024);
         let env = Envelope::Data(Tuple::default());
+        let mut batch = Vec::with_capacity(1);
         b.iter(|| {
-            tx.send(black_box(env), Duration::from_secs(1));
+            batch.push(black_box(env));
+            tx.send_batch(&mut batch, Some(Duration::from_secs(1)), || false);
             black_box(rx.try_recv())
         })
     });

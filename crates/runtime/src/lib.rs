@@ -124,7 +124,7 @@ pub use fused::{FusedChain, Kernel};
 pub use graph::{ActorGraph, ActorId, Behavior, SourceConfig};
 pub use mailbox::{
     channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, Drained, Envelope, Receiver,
-    SendOutcome, Sender, TryBatch, TrySend,
+    Sender,
 };
 pub use meta::{MetaDest, MetaOperator, MetaRoute};
 pub use metrics::{ActorReport, RunReport};

@@ -44,6 +44,8 @@
 //! * [`engine_config`] — the command line's one parser of engine settings:
 //!   flag, then the document's `<settings>`, then
 //!   [`EngineConfig::default`](spinstreams_runtime::EngineConfig).
+//! * [`parse_flag`] / [`parse_list_flag`] — the one typed flag parser: a
+//!   malformed value is an error naming the flag, never a silent default.
 
 #![warn(missing_docs)]
 
@@ -80,7 +82,7 @@ pub use multitenant::{
     multitenant_table, run_multitenant_layer, run_multitenant_layer_with, tenant_topology,
     MultiTenantConfig, MultiTenantReport, TenantOutcome,
 };
-pub use settings::{engine_config, flag_value};
+pub use settings::{engine_config, flag_value, parse_flag, parse_list_flag};
 /// The §4.1 profiling step, shared with the serving front end.
 pub use spinstreams_serve::calibrate;
 pub use telemetry::{

@@ -13,8 +13,13 @@ pub fn flag_value(args: &[String], name: &str) -> Option<String> {
 }
 
 /// Parses `name`'s value when the flag is present; a value that does not
-/// parse or fails `valid` is an error naming the flag.
-fn parse_flag<T: std::str::FromStr>(
+/// parse or fails `valid` is an error naming the flag. Every typed flag of
+/// the command line goes through this parser.
+///
+/// # Errors
+///
+/// `"{name} must be {expected}"` for a malformed value.
+pub fn parse_flag<T: std::str::FromStr>(
     args: &[String],
     name: &str,
     valid: impl Fn(&T) -> bool,
@@ -24,6 +29,27 @@ fn parse_flag<T: std::str::FromStr>(
         None => Ok(None),
         Some(raw) => match raw.parse::<T>() {
             Ok(v) if valid(&v) => Ok(Some(v)),
+            _ => Err(format!("{name} must be {expected}")),
+        },
+    }
+}
+
+/// Parses `name`'s comma-separated list when the flag is present. The list
+/// must be non-empty and every item must parse: `1,x` is an error, not
+/// `[1]`.
+///
+/// # Errors
+///
+/// `"{name} must be {expected}"` for a malformed list.
+pub fn parse_list_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    expected: &str,
+) -> Result<Option<Vec<T>>, String> {
+    match flag_value(args, name) {
+        None => Ok(None),
+        Some(raw) => match raw.split(',').map(|s| s.trim().parse()).collect() {
+            Ok(items) if !raw.trim().is_empty() => Ok(Some(items)),
             _ => Err(format!("{name} must be {expected}")),
         },
     }

@@ -369,3 +369,84 @@ fn malformed_engine_flags_are_rejected_alike_by_every_subcommand() {
         }
     }
 }
+
+#[test]
+fn malformed_typed_flags_exit_with_a_message_naming_the_flag() {
+    let path = topology_file();
+    let file = path.to_str().unwrap();
+    let positive = "must be a positive integer";
+    let count = "must be a non-negative integer";
+    // (arguments, the whole of stderr after the flag name)
+    let cases: &[(&[&str], &str)] = &[
+        (&["run", file, "--items", "banana"], positive),
+        (&["chaos", file, "--items", "0"], positive),
+        (&["monitor", file, "--items", "-1"], positive),
+        (&["inspect", file, "--items", "1e3"], positive),
+        (&["serve", "--items", "0"], positive),
+        (&["monitor", file, "--interval-ms", "fast"], count),
+        (&["inspect", file, "--span-sample", "x"], count),
+        (&["inspect", file, "--min-samples", "x"], count),
+        (&["optimize", file, "--max-replicas", "0"], positive),
+        (
+            &["fuse", file, "--members", "1,x"],
+            "must be a comma-separated list of operator ids",
+        ),
+        (
+            &["autofuse", file, "--threshold", "x"],
+            "must be a positive number",
+        ),
+        (&["chaos", file, "--seed", "x"], count),
+        (&["run", file, "--adaptive", "--seed", "-3"], count),
+        (
+            &["chaos", file, "--panic-prob", "x"],
+            "must be a number in [0, 1]",
+        ),
+        (&["chaos", file, "--crash-at-epoch", "0"], positive),
+        (&["chaos", file, "--crash-after-tuples", "x"], positive),
+        (
+            &["run", file, "--adaptive", "--drift-threshold", "0"],
+            "must be a positive number",
+        ),
+        (
+            &["run", file, "--adaptive", "--cooldown", "x"],
+            "must be a non-negative integer (ticks)",
+        ),
+        (
+            &["run", file, "--adaptive", "--hysteresis", "-1"],
+            "must be a non-negative number",
+        ),
+        (
+            &["run", file, "--adaptive", "--max-replicas", "0"],
+            positive,
+        ),
+        (&["run", file, "--adaptive", "--min-samples", "x"], count),
+        (&["oracle", "--seeds", "0"], positive),
+        (&["oracle", "--seed-start", "x"], count),
+        (
+            &["oracle", "--adaptation-seeds", "1,x"],
+            "must be a comma-separated list of integers",
+        ),
+        (
+            &["oracle", "--multitenant-seeds", ""],
+            "must be a comma-separated list of integers",
+        ),
+    ];
+    for (args, tail) in cases {
+        let flag = args.iter().rev().nth(1).unwrap();
+        let (_, stderr, ok) = run_cli(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert_eq!(stderr.trim(), format!("{flag} {tail}"), "{args:?}");
+    }
+
+    // The serving shell's WEIGHT is checked the same way: the bad line
+    // fails, the shell goes on, and the exit status reports the failure.
+    let script = path.with_extension("serve");
+    std::fs::write(&script, format!("submit t {file} heavy\nquit\n")).unwrap();
+    let (_, stderr, ok) = run_cli(&["serve", "--script", script.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&script);
+    assert!(!ok);
+    assert!(
+        stderr.contains("WEIGHT must be a non-negative integer, got \"heavy\""),
+        "{stderr}"
+    );
+}

@@ -111,6 +111,40 @@ pub fn fusion_candidates(topo: &Topology, utilization_threshold: f64) -> Vec<Fus
     out
 }
 
+/// The longest chain of single-replica stateless operators in which each
+/// link is its predecessor's only successor and has no other input, front
+/// first — a shape codegen accepts as one fusion group. The tail
+/// may be a sink. `replicas` is the deployed degree per operator (`&[]` =
+/// all ones). Returns `None` when no two adjacent operators qualify.
+pub fn fusable_chain(topo: &Topology, replicas: &[usize]) -> Option<Vec<OperatorId>> {
+    let eligible = |id: OperatorId| {
+        id != topo.source()
+            && replicas.get(id.0).is_none_or(|&r| r == 1)
+            && topo.operator(id).state.is_stateless()
+            && topo.out_edges(id).len() <= 1
+    };
+    let mut best: Option<Vec<OperatorId>> = None;
+    for start in topo.operator_ids() {
+        if !eligible(start) {
+            continue;
+        }
+        let mut chain = vec![start];
+        let mut cur = start;
+        while topo.out_edges(cur).len() == 1 {
+            let next = topo.successors(cur)[0];
+            if !eligible(next) || topo.in_edges(next).len() != 1 {
+                break;
+            }
+            chain.push(next);
+            cur = next;
+        }
+        if chain.len() >= 2 && best.as_ref().is_none_or(|b| chain.len() > b.len()) {
+            best = Some(chain);
+        }
+    }
+    best
+}
+
 /// Result of the automated greedy fusion search.
 #[derive(Debug, Clone)]
 pub struct AutoFusion {

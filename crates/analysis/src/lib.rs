@@ -77,7 +77,7 @@ pub use bottleneck::{
     apply_replica_bound, effective_service_rate, eliminate_bottlenecks, evaluate_with_replicas,
     FissionPlan,
 };
-pub use candidates::{auto_fuse, fusion_candidates, AutoFusion, FusionCandidate};
+pub use candidates::{auto_fuse, fusable_chain, fusion_candidates, AutoFusion, FusionCandidate};
 pub use controller::{AdaptiveConfig, AdaptiveController, PlanChange};
 pub use drift::{DriftConfig, DriftMonitor, DriftStatus, DriftVerdict};
 pub use fusion::{fuse, fusion_service_time, FusionError, FusionOutcome};

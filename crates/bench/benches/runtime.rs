@@ -8,12 +8,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spinstreams_core::{KeyDistribution, Tuple};
-use spinstreams_operators::{build_kernel, CountWindow, OperatorKind, OperatorParams};
+use spinstreams_operators::{build_operator, CountWindow, OperatorKind, OperatorParams};
 use spinstreams_runtime::operators::PassThrough;
 use spinstreams_runtime::{
     channel, run, simulate, ActorGraph, ActorId, Behavior, EngineConfig, Envelope, ExecutorKind,
-    FusedChain, MetaDest, MetaOperator, MetaRoute, Outputs, Route, SimConfig, SourceConfig,
-    StreamOperator, DEFAULT_PORT,
+    MetaDest, MetaOperator, MetaRoute, Outputs, Route, SimConfig, SourceConfig, StreamOperator,
+    DEFAULT_PORT,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -241,8 +241,8 @@ fn shape_pipeline() -> (ActorGraph, ActorId) {
 }
 
 /// src → F(identity-map × 3) → sink: the pipeline with its interior
-/// compiled into one monomorphized [`FusedChain`] actor, the steady state
-/// Algorithm 3 fusion groups run as.
+/// fused into one [`MetaOperator`] actor, the steady state Algorithm 3
+/// fusion groups run as.
 fn shape_fused() -> (ActorGraph, ActorId) {
     let mut g = ActorGraph::new();
     let s = unpaced_source(&mut g);
@@ -250,12 +250,23 @@ fn shape_fused() -> (ActorGraph, ActorId) {
         work_ns: 0,
         ..OperatorParams::default()
     };
-    let kernels = (0..3)
-        .map(|_| build_kernel(OperatorKind::IdentityMap, &params).expect("stateless kind"))
+    let members = (0..3)
+        .map(|_| build_operator(OperatorKind::IdentityMap, &params))
         .collect();
+    let routes = vec![
+        vec![MetaRoute::Unicast(MetaDest::Member(1))],
+        vec![MetaRoute::Unicast(MetaDest::Member(2))],
+        vec![MetaRoute::Unicast(MetaDest::Output(DEFAULT_PORT))],
+    ];
     let f = g.add_actor(
         "fused",
-        Behavior::worker(FusedChain::new("F(identity-map x3)", kernels, DEFAULT_PORT)),
+        Behavior::worker(MetaOperator::new(
+            "F(identity-map x3)",
+            members,
+            routes,
+            0,
+            1,
+        )),
     );
     let k = g.add_actor("sink", Behavior::worker(PassThrough));
     g.connect(s, Route::Unicast(f));

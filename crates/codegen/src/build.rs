@@ -2,13 +2,11 @@
 
 use spinstreams_analysis::key_partitioning;
 use spinstreams_core::{KeyDistribution, OperatorId, StateClass, Topology};
-use spinstreams_operators::{
-    build_kernel, build_operator, OperatorKind, OperatorParams, StatelessKernel,
-};
+use spinstreams_operators::{build_operator, OperatorKind, OperatorParams};
 use spinstreams_runtime::operators::PassThrough;
 use spinstreams_runtime::{
-    ActorGraph, ActorId, Behavior, FusedChain, MetaDest, MetaOperator, MetaRoute, Route,
-    SourceConfig, StreamOperator,
+    ActorGraph, ActorId, Behavior, MetaDest, MetaOperator, MetaRoute, Route, SourceConfig,
+    StreamOperator,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -22,20 +20,6 @@ pub struct FusionGroup {
     pub front: OperatorId,
 }
 
-/// How fusion groups are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusionStrategy {
-    /// Compile eligible groups (stateless known kinds forming a linear
-    /// all-unicast chain with one external output) to a statically
-    /// dispatched [`FusedChain`]; everything else falls back to the
-    /// interpreted [`MetaOperator`]. The default.
-    #[default]
-    Monomorphize,
-    /// Run every group through the interpreted [`MetaOperator`]
-    /// (differential-testing and debugging knob).
-    Interpret,
-}
-
 /// Options for the generated deployment.
 #[derive(Debug, Clone)]
 pub struct CodegenOptions {
@@ -44,8 +28,6 @@ pub struct CodegenOptions {
     /// RNG seed for the source's keys/values (and the meta-operators'
     /// internal routing).
     pub seed: u64,
-    /// Execution strategy for fusion groups.
-    pub fusion: FusionStrategy,
     /// Pre-provisioned replica *slots* per operator (empty = exactly the
     /// active degrees). A slot count above the active degree deploys spare
     /// replica actors up front — wired for EOS and checkpoint markers via a
@@ -61,7 +43,6 @@ impl Default for CodegenOptions {
         CodegenOptions {
             items: 10_000,
             seed: 0xFEED,
-            fusion: FusionStrategy::Monomorphize,
             provision: Vec::new(),
         }
     }
@@ -151,66 +132,16 @@ pub struct GeneratedPlan {
     pub num_actors: usize,
 }
 
-fn kind_of(
-    topo: &Topology,
-    id: OperatorId,
-) -> Result<(OperatorKind, OperatorParams), CodegenError> {
+fn instantiate(topo: &Topology, id: OperatorId) -> Result<Box<dyn StreamOperator>, CodegenError> {
     let spec = topo.operator(id);
     let kind: OperatorKind = spec.kind.parse().map_err(|_| CodegenError::UnknownKind {
         operator: id,
         kind: spec.kind.clone(),
     })?;
-    Ok((kind, OperatorParams::from_spec_params(&spec.params)))
-}
-
-fn instantiate(topo: &Topology, id: OperatorId) -> Result<Box<dyn StreamOperator>, CodegenError> {
-    let (kind, params) = kind_of(topo, id)?;
-    Ok(build_operator(kind, &params))
-}
-
-/// Compiles a fusion group to a monomorphized [`FusedChain`] when it is
-/// eligible: the internal routes walk a linear, all-[`MetaRoute::Unicast`]
-/// chain from the front that covers every member exactly once and ends on
-/// a single external output, and every member kind has a static kernel
-/// (stateless, known to the registry). Returns `None` — fall back to the
-/// interpreted [`MetaOperator`] — otherwise.
-///
-/// Eligible groups draw no internal-routing randomness and visit items in
-/// stage-sequential order under both executors, so the chain's output is
-/// byte-identical to the meta-operator it replaces.
-fn maybe_monomorphize(
-    name: &str,
-    kinds: &[(OperatorKind, OperatorParams)],
-    routes: &[Vec<MetaRoute>],
-    front: usize,
-) -> Option<FusedChain<StatelessKernel>> {
-    let n = kinds.len();
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut cur = front;
-    let out_port = loop {
-        if visited[cur] {
-            return None; // cycle (impossible for valid groups, but cheap to guard)
-        }
-        visited[cur] = true;
-        order.push(cur);
-        let [route] = routes[cur].as_slice() else {
-            return None; // fan-out, or a dead-end member that drops items
-        };
-        match route {
-            MetaRoute::Unicast(MetaDest::Member(j)) => cur = *j,
-            MetaRoute::Unicast(MetaDest::Output(p)) => break *p,
-            MetaRoute::Probabilistic { .. } => return None,
-        }
-    };
-    if order.len() != n {
-        return None; // members off the front's path
-    }
-    let kernels: Vec<StatelessKernel> = order
-        .iter()
-        .map(|&i| build_kernel(kinds[i].0, &kinds[i].1))
-        .collect::<Option<_>>()?;
-    Some(FusedChain::new(name, kernels, out_port))
+    Ok(build_operator(
+        kind,
+        &OperatorParams::from_spec_params(&spec.params),
+    ))
 }
 
 /// Builds the executable actor graph for `topo`.
@@ -368,10 +299,9 @@ pub fn build_actor_graph(
                 // Internal routing tables (member port 0 only — all library
                 // operators emit on the default port).
                 let mut routes: Vec<Vec<MetaRoute>> = Vec::with_capacity(members.len());
-                let mut kinds: Vec<(OperatorKind, OperatorParams)> =
-                    Vec::with_capacity(members.len());
+                let mut ops: Vec<Box<dyn StreamOperator>> = Vec::with_capacity(members.len());
                 for &m in &members {
-                    kinds.push(kind_of(topo, m)?);
+                    ops.push(instantiate(topo, m)?);
                     let mut choices: Vec<(MetaDest, f64)> = Vec::new();
                     for &eid in topo.out_edges(m) {
                         let e = topo.edge(eid);
@@ -388,7 +318,11 @@ pub fn build_actor_graph(
                         choices.push((dest, e.probability));
                     }
                     let table = match choices.len() {
-                        0 => vec![],
+                        // A topology sink: its emissions leave on the port
+                        // past the external edges, which has no route, so
+                        // the meta actor counts them as departures (and
+                        // samples their latency) as a sink actor would.
+                        0 => vec![MetaRoute::Unicast(MetaDest::Output(externals.len()))],
                         1 => vec![MetaRoute::Unicast(choices[0].0)],
                         _ => vec![MetaRoute::Probabilistic { choices }],
                     };
@@ -399,33 +333,14 @@ pub fn build_actor_graph(
                     .map(|m| topo.operator(*m).name.as_str())
                     .collect();
                 let fused_name = format!("F({})", fused_names.join("+"));
-                // Monomorphize when eligible and asked for; otherwise (or
-                // under `FusionStrategy::Interpret`) build the interpreted
-                // meta-operator. Same actor and operator names either way,
-                // so the two strategies produce identical telemetry.
-                let chain = match opts.fusion {
-                    FusionStrategy::Monomorphize => {
-                        maybe_monomorphize(&fused_name, &kinds, &routes, index_of(g.front))
-                    }
-                    FusionStrategy::Interpret => None,
-                };
-                let op: Box<dyn StreamOperator> = match chain {
-                    Some(chain) => Box::new(chain),
-                    None => {
-                        let ops: Vec<Box<dyn StreamOperator>> = kinds
-                            .iter()
-                            .map(|(kind, params)| build_operator(*kind, params))
-                            .collect();
-                        Box::new(MetaOperator::new(
-                            fused_name,
-                            ops,
-                            routes,
-                            index_of(g.front),
-                            opts.seed ^ (0x4D45_5441 + gi as u64),
-                        ))
-                    }
-                };
-                let a = graph.add_actor(format!("meta-g{gi}"), Behavior::Worker(op));
+                let op = MetaOperator::new(
+                    fused_name,
+                    ops,
+                    routes,
+                    index_of(g.front),
+                    opts.seed ^ (0x4D45_5441 + gi as u64),
+                );
+                let a = graph.add_actor(format!("meta-g{gi}"), Behavior::worker(op));
                 meta_actor[gi] = Some(a);
                 meta_external[gi] = externals;
                 for &m in &members {
@@ -705,6 +620,31 @@ mod tests {
     }
 
     #[test]
+    fn fused_sink_departures_are_counted_like_an_unfused_sink() {
+        // Fuse filter -> sink: the sink's emissions have no edge to leave
+        // on, yet the meta actor must count them as departures, as the
+        // sink actor does when unfused.
+        let t = small_topology();
+        let group = FusionGroup {
+            members: [OperatorId(2), OperatorId(3)].into_iter().collect(),
+            front: OperatorId(2),
+        };
+        let opts = CodegenOptions {
+            items: 400,
+            seed: 4,
+            ..CodegenOptions::default()
+        };
+        let sink_out = |fusions: &[FusionGroup]| {
+            let plan = build_actor_graph(&t, None, &[], fusions, &opts).unwrap();
+            let report = run(plan.graph, &engine()).unwrap();
+            report.actor(plan.departure_actor[3]).items_out
+        };
+        let unfused = sink_out(&[]);
+        assert!(unfused > 0 && unfused < 400, "the filter drops some items");
+        assert_eq!(sink_out(&[group]), unfused);
+    }
+
+    #[test]
     fn fused_and_unfused_outputs_are_semantically_equivalent() {
         // Deterministic operators: identity-map then projection. Compare
         // item counts through both deployments.
@@ -809,7 +749,6 @@ mod tests {
                 items: 600,
                 seed: 7,
                 provision: vec![1, 4, 1, 1],
-                ..CodegenOptions::default()
             },
         )
         .unwrap();
@@ -842,7 +781,6 @@ mod tests {
                 items: 300,
                 seed: 8,
                 provision: vec![1, 3, 1, 1],
-                ..CodegenOptions::default()
             },
         )
         .unwrap();

@@ -37,8 +37,6 @@ mod build;
 mod emit;
 mod serialize;
 
-pub use build::{
-    build_actor_graph, CodegenError, CodegenOptions, FusionGroup, FusionStrategy, GeneratedPlan,
-};
+pub use build::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup, GeneratedPlan};
 pub use emit::emit_rust_source;
 pub use serialize::{checksum, plan_cache_key, serialize_plan, serialize_topology};

@@ -16,7 +16,7 @@
 //!
 //! [`BTreeMap`]: std::collections::BTreeMap
 
-use crate::build::{CodegenOptions, FusionGroup, FusionStrategy};
+use crate::build::{CodegenOptions, FusionGroup};
 use spinstreams_core::{StateClass, Topology};
 use std::fmt::Write as _;
 
@@ -123,13 +123,9 @@ pub fn serialize_plan(
         }
         let _ = writeln!(out, "]");
     }
-    let strategy = match opts.fusion {
-        FusionStrategy::Monomorphize => "monomorphize",
-        FusionStrategy::Interpret => "interpret",
-    };
     let _ = write!(
         out,
-        "opts items={} seed={} fusion={strategy} provision=[",
+        "opts items={} seed={} provision=[",
         opts.items, opts.seed
     );
     for (i, p) in opts.provision.iter().enumerate() {
@@ -146,15 +142,7 @@ pub fn serialize_plan(
 /// combined with the optimizer settings text.
 pub fn plan_cache_key(topo: &Topology, opts: &CodegenOptions) -> u64 {
     let mut text = serialize_topology(topo);
-    let strategy = match opts.fusion {
-        FusionStrategy::Monomorphize => "monomorphize",
-        FusionStrategy::Interpret => "interpret",
-    };
-    let _ = write!(
-        text,
-        "settings items={} seed={} fusion={strategy}",
-        opts.items, opts.seed
-    );
+    let _ = write!(text, "settings items={} seed={}", opts.items, opts.seed);
     checksum(text.as_bytes())
 }
 

@@ -25,7 +25,6 @@
 
 mod aggregates;
 mod join;
-mod kernel;
 mod registry;
 mod spatial;
 mod stateful;
@@ -34,7 +33,6 @@ mod window;
 
 pub use aggregates::{Aggregation, WindowedAggregate, WindowedQuantile};
 pub use join::{BandJoin, EquiJoin};
-pub use kernel::{build_kernel, StatelessKernel};
 pub use registry::{build_operator, OperatorKind, OperatorParams};
 pub use spatial::{Skyline, TopK};
 pub use stateful::{DeltaFilter, DistinctCount};

@@ -12,8 +12,8 @@ pub enum Layer {
     Base,
     /// The Algorithm 2 fission plan (replicated deployment).
     Fission,
-    /// The Algorithm 3 fusion group, deployed once monomorphized and once
-    /// force-interpreted (differential check of the static kernel layer).
+    /// The Algorithm 3 fusion group: the topology deployed once unfused
+    /// and once with the group fused into one meta-operator.
     Fusion,
 }
 
@@ -79,8 +79,9 @@ pub enum DivergenceKind {
     ThreadedRatio(OperatorId),
     /// The threaded run dropped items (BAS timeout fired).
     ThreadedDrops,
-    /// Monomorphized vs interpreted deployment of the same fusion group
-    /// disagreed on one operator's exact item counters.
+    /// The fused and the unfused deployment disagreed on an exact item
+    /// counter of one operator: the group's front (items in), its tail
+    /// (items out) or an operator upstream of the group.
     FusionCounts(OperatorId),
     /// A pipeline stage failed outright (codegen/engine error).
     Pipeline,

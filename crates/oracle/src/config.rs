@@ -64,9 +64,9 @@ pub struct OracleConfig {
     /// vs a replicated sim deployment) when the plan replicates anything.
     pub check_fission: bool,
     /// Also differential-test the Algorithm 3 fusion path: deploy the
-    /// longest fusable stateless chain once monomorphized and once
-    /// force-interpreted and require exact per-operator count equality
-    /// (skipped when the scenario has no such chain).
+    /// topology once unfused and once with its longest fusable chain fused,
+    /// and require exact count equality at the group's boundary and
+    /// upstream of it (skipped when the scenario has no such chain).
     pub check_fusion: bool,
     /// Number of leading seeds that additionally get a smoke-scale
     /// *threaded* run (0 disables the layer; it spins real CPU time).

@@ -2,9 +2,7 @@
 //! threaded smoke runs.
 
 use crate::OracleConfig;
-use spinstreams_codegen::{
-    build_actor_graph, CodegenError, CodegenOptions, FusionGroup, FusionStrategy,
-};
+use spinstreams_codegen::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup};
 use spinstreams_core::{KeyDistribution, OperatorId, Selectivity, ServiceTime, Topology};
 use spinstreams_runtime::{execute, EngineError, Executor, SimConfig};
 use std::fmt;
@@ -112,32 +110,21 @@ pub fn measure(
     seed: u64,
     executor: &Executor,
 ) -> Result<LayerMeasurement, OracleError> {
-    measure_with(
-        topo,
-        source_keys,
-        replicas,
-        &[],
-        FusionStrategy::Monomorphize,
-        items,
-        seed,
-        executor,
-    )
+    measure_with(topo, source_keys, replicas, &[], items, seed, executor)
 }
 
-/// [`measure`] generalized with fusion groups and an explicit
-/// [`FusionStrategy`] — the fusion layer deploys the same groups once
-/// monomorphized and once force-interpreted and compares the two.
+/// [`measure`] generalized with fusion groups — the fusion layer deploys
+/// the same topology with and without a group and compares the two. A
+/// fused member's input and departure actor is its group's meta actor.
 ///
 /// # Errors
 ///
 /// Propagates codegen/engine failures.
-#[allow(clippy::too_many_arguments)]
 pub fn measure_with(
     topo: &Topology,
     source_keys: &KeyDistribution,
     replicas: &[usize],
     fusions: &[FusionGroup],
-    fusion: FusionStrategy,
     items: u64,
     seed: u64,
     executor: &Executor,
@@ -145,7 +132,6 @@ pub fn measure_with(
     let opts = CodegenOptions {
         items,
         seed,
-        fusion,
         ..CodegenOptions::default()
     };
     let plan = build_actor_graph(topo, Some(source_keys.clone()), replicas, fusions, &opts)?;

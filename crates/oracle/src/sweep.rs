@@ -5,10 +5,11 @@ use crate::{
     sim_executor, Divergence, DivergenceKind, Layer, MinimalCase, OracleConfig, RateTable,
     Scenario,
 };
-use spinstreams_analysis::{eliminate_bottlenecks, evaluate_with_replicas, steady_state};
-use spinstreams_codegen::{FusionGroup, FusionStrategy};
+use spinstreams_analysis::{
+    eliminate_bottlenecks, evaluate_with_replicas, fusable_chain, steady_state,
+};
+use spinstreams_codegen::FusionGroup;
 use spinstreams_core::{KeyDistribution, OperatorId, Topology};
-use spinstreams_operators::OperatorKind;
 use spinstreams_runtime::{EngineConfig, Executor};
 
 /// The outcome of evaluating one scenario through every oracle layer.
@@ -27,49 +28,6 @@ impl ScenarioReport {
     pub fn is_clean(&self) -> bool {
         self.divergences.is_empty()
     }
-}
-
-/// Finds the longest fusable stateless chain in `topo`: consecutive
-/// non-source operators, each of a stateless registry kind (so it has a
-/// static kernel form), each with exactly one out-edge, and each non-front
-/// member fed only by its predecessor. Such a group passes codegen's
-/// fusion-group validation and — under [`FusionStrategy::Monomorphize`] —
-/// compiles to a statically dispatched chain, so deploying it under both
-/// strategies differential-tests the kernel layer against the interpreted
-/// meta-operator. Returns `None` when no two adjacent operators qualify.
-fn fusable_chain(topo: &Topology) -> Option<FusionGroup> {
-    let eligible = |id: OperatorId| {
-        id != topo.source()
-            && topo.out_edges(id).len() == 1
-            && topo
-                .operator(id)
-                .kind
-                .parse::<OperatorKind>()
-                .is_ok_and(|k| k.is_stateless())
-    };
-    let mut best: Option<Vec<OperatorId>> = None;
-    for start in topo.operator_ids() {
-        if !eligible(start) {
-            continue;
-        }
-        let mut chain = vec![start];
-        let mut cur = start;
-        loop {
-            let next = topo.edge(topo.out_edges(cur)[0]).to;
-            if !eligible(next) || topo.in_edges(next).len() != 1 || chain.contains(&next) {
-                break;
-            }
-            chain.push(next);
-            cur = next;
-        }
-        if chain.len() >= 2 && best.as_ref().is_none_or(|b| chain.len() > b.len()) {
-            best = Some(chain);
-        }
-    }
-    best.map(|chain| FusionGroup {
-        front: chain[0],
-        members: chain.into_iter().collect(),
-    })
 }
 
 /// Runs the full differential pipeline on one (possibly hand-modified)
@@ -248,50 +206,58 @@ pub fn evaluate(
         }
     }
 
-    // Fusion layer: deploy the longest fusable stateless chain twice on
-    // the deterministic simulator — once with the group compiled to a
-    // monomorphized kernel chain, once forced through the interpreted
-    // meta-operator — and require the per-operator item counters to agree
-    // *exactly*. Both runs share the seed and the sim is bit-for-bit
-    // deterministic, so any difference is a kernel-vs-interpreter
-    // semantics bug, not noise. Skipped when the scenario has no chain.
+    // Fusion layer: deploy the longest fusable chain on the deterministic
+    // simulator twice — unfused, and fused into one meta-operator — and
+    // require exact equality at the group's boundary (the front's items
+    // in, the tail's items out) and at every operator upstream of it.
+    // Both runs share the seed and the sim is bit-for-bit deterministic,
+    // so a difference is a fusion semantics bug, not noise. Operators
+    // downstream of the group are left out: the DES seeds actor i's route
+    // draws with seed + i and fusion renumbers the actors behind the
+    // group, so counts behind a probabilistic split may legitimately
+    // differ. Skipped when the scenario has no chain.
     if cfg.check_fusion {
-        if let Some(group) = fusable_chain(&cal) {
-            let groups = [group];
-            let run = |strategy| {
+        if let Some(chain) = fusable_chain(&cal, &[]) {
+            let (front, tail) = (chain[0], chain[chain.len() - 1]);
+            let group = FusionGroup {
+                front,
+                members: chain.into_iter().collect(),
+            };
+            let run = |groups: &[FusionGroup]| {
                 measure_with(
                     &cal,
                     source_keys,
                     &[],
-                    &groups,
-                    strategy,
+                    groups,
                     cfg.items,
                     seed,
                     &sim_executor(seed),
                 )
             };
-            match (
-                run(FusionStrategy::Monomorphize),
-                run(FusionStrategy::Interpret),
-            ) {
-                (Ok(mono), Ok(interp)) => {
-                    for id in cal.operator_ids() {
-                        if mono.items_in[id.0] != interp.items_in[id.0]
-                            || mono.items_out[id.0] != interp.items_out[id.0]
+            match (run(&[]), run(std::slice::from_ref(&group))) {
+                (Ok(unfused), Ok(fused)) => {
+                    // (operator, compare items in, compare items out)
+                    let checks = upstream_of(&cal, front)
+                        .into_iter()
+                        .map(|id| (id, true, true))
+                        .chain([(front, true, false), (tail, false, true)]);
+                    for (id, inn, out) in checks {
+                        if (inn && unfused.items_in[id.0] != fused.items_in[id.0])
+                            || (out && unfused.items_out[id.0] != fused.items_out[id.0])
                         {
                             divergences.push(Divergence {
                                 seed,
                                 layer: Layer::Fusion,
                                 kind: DivergenceKind::FusionCounts(id),
                                 detail: format!(
-                                    "{} ({id}): monomorphized {}/{} vs interpreted {}/{} \
-                                     items in/out (group {:?})",
+                                    "{} ({id}): unfused {}/{} vs fused {}/{} items in/out \
+                                     (group {:?})",
                                     cal.operator(id).name,
-                                    mono.items_in[id.0],
-                                    mono.items_out[id.0],
-                                    interp.items_in[id.0],
-                                    interp.items_out[id.0],
-                                    groups[0].members,
+                                    unfused.items_in[id.0],
+                                    unfused.items_out[id.0],
+                                    fused.items_in[id.0],
+                                    fused.items_out[id.0],
+                                    group.members,
                                 ),
                             });
                         }
@@ -313,6 +279,18 @@ pub fn evaluate(
         tables,
         divergences,
     }
+}
+
+/// Every operator with a path to `id`, in id order.
+fn upstream_of(topo: &Topology, id: OperatorId) -> Vec<OperatorId> {
+    let mut seen = vec![false; topo.num_operators()];
+    let mut stack = topo.predecessors(id);
+    while let Some(p) = stack.pop() {
+        if !std::mem::replace(&mut seen[p.0], true) {
+            stack.extend(topo.predecessors(p));
+        }
+    }
+    topo.operator_ids().filter(|p| seen[p.0]).collect()
 }
 
 /// Generates the scenario for `seed` and evaluates it.
@@ -443,11 +421,9 @@ mod tests {
         b.add_edge(agg, sink, 1.0).unwrap();
         let topo = b.build().unwrap();
         // a → f is the only stateless run of length ≥ 2: the source is
-        // excluded, the aggregate is stateful, and the sink has no
-        // out-edge to carry the chain's output.
-        let g = fusable_chain(&topo).expect("chain");
-        assert_eq!(g.front, a);
-        assert_eq!(g.members, [a, f].into_iter().collect());
+        // excluded, the aggregate is stateful, and the sink's only input
+        // is the aggregate.
+        assert_eq!(fusable_chain(&topo, &[]), Some(vec![a, f]));
         // A purely stateful pipeline has no chain at all.
         let mut b = Topology::builder();
         let src = b.add_operator(
@@ -462,7 +438,7 @@ mod tests {
         );
         b.add_edge(src, j, 1.0).unwrap();
         b.add_edge(j, sink, 1.0).unwrap();
-        assert!(fusable_chain(&b.build().unwrap()).is_none());
+        assert!(fusable_chain(&b.build().unwrap(), &[]).is_none());
     }
 
     #[test]
@@ -472,7 +448,7 @@ mod tests {
         // operators the differential check would quietly stop running.
         let cfg = quick_cfg();
         let hits = (0..20)
-            .filter(|&seed| fusable_chain(&scenario(seed, &cfg).topology).is_some())
+            .filter(|&seed| fusable_chain(&scenario(seed, &cfg).topology, &[]).is_some())
             .count();
         assert!(
             hits >= 3,

@@ -99,7 +99,6 @@
 pub mod affinity;
 pub mod checkpoint;
 mod engine;
-mod fused;
 mod graph;
 mod mailbox;
 mod meta;
@@ -120,7 +119,6 @@ pub use engine::{
     run, run_tenants, run_with_telemetry, EngineConfig, EngineError, ExecutorKind, TenantRun,
     TenantSpec,
 };
-pub use fused::{FusedChain, Kernel};
 pub use graph::{ActorGraph, ActorId, Behavior, SourceConfig};
 pub use mailbox::{
     channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, Drained, Envelope, Receiver,

@@ -3,15 +3,20 @@
 //! A meta-operator owns the member operators of a fused sub-graph plus
 //! their *internal* routing. For each input item it runs the front-end
 //! member; every emitted item either feeds another member (processed
-//! immediately, inside the same actor — no mailbox hop) or leaves the
-//! sub-graph on one of the meta-operator's external ports. Because the
-//! sub-graph is acyclic, the internal work-list always drains (§4.2).
+//! inside the same actor — no mailbox hop) or leaves the sub-graph on one
+//! of the meta-operator's external ports. Because the sub-graph is
+//! acyclic, the traversal always ends (§4.2).
+//!
+//! The traversal is level-synchronous: every `(member, item)` pair of one
+//! level is processed, in order, before any pair of the next. That is the
+//! visit order of a FIFO work-list, so item order and the order of route
+//! draws are those of a breadth-first walk. A linear chain needs no
+//! special case: each level holds the items one stage emitted.
 
 use crate::checkpoint::StateSnapshot;
 use crate::rng::XorShift64;
 use crate::{Outputs, StreamOperator};
 use spinstreams_core::Tuple;
-use std::collections::VecDeque;
 
 /// Where an item emitted by a member goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,10 +55,13 @@ pub struct MetaOperator {
     cums: Vec<Vec<Vec<f64>>>,
     front: usize,
     rng: XorShift64,
-    scratch: Outputs,
-    /// Reusable Algorithm 4 work-list: drained back to empty by every
-    /// activation, so steady state never re-allocates it.
-    work: VecDeque<(usize, Tuple)>,
+    /// The `(member, item)` pairs of the level being processed, and those
+    /// of the next level. A member emits straight into the buffer of the
+    /// level after its own, where its `(port, item)` entries are then
+    /// rewritten in place to their destination member. Both are emptied
+    /// by every activation, so steady state never re-allocates them.
+    level: Outputs,
+    next: Outputs,
     /// Flush traversal (front first, then the rest), precomputed once.
     flush_order: Vec<usize>,
 }
@@ -112,8 +120,8 @@ impl MetaOperator {
             cums,
             front,
             rng: XorShift64::new(seed),
-            scratch: Outputs::new(),
-            work: VecDeque::with_capacity(4),
+            level: Outputs::new(),
+            next: Outputs::new(),
             flush_order,
         }
     }
@@ -123,64 +131,106 @@ impl MetaOperator {
         self.members.len()
     }
 
-    fn resolve(&mut self, member: usize, port: usize) -> Option<MetaDest> {
-        let table = &self.routes[member];
-        let route = table.get(port)?;
-        Some(match route {
-            MetaRoute::Unicast(d) => *d,
-            MetaRoute::Probabilistic { choices } => {
-                let cum = &self.cums[member][port];
-                let u = self.rng.next_f64();
+    /// Runs the traversal from the pairs in `self.level` until no level
+    /// is left, emitting externals to `out`. Both frontiers are empty on
+    /// return, ready for reuse.
+    fn drive(&mut self, out: &mut Outputs) {
+        while !self.level.is_empty() {
+            for i in 0..self.level.len() {
+                let (m, item) = self.level.items()[i];
+                let start = self.next.len();
+                self.members[m].process(item, &mut self.next);
+                route(
+                    &self.routes[m],
+                    &self.cums[m],
+                    &mut self.rng,
+                    self.next.items_mut(),
+                    start,
+                    out,
+                );
+            }
+            self.level.clear();
+            std::mem::swap(&mut self.level, &mut self.next);
+        }
+    }
+}
+
+/// Resolves the `(port, item)` pairs one member emitted into `level` from
+/// index `start` on, through its route table: an internal destination
+/// rewrites the pair in place to `(member, item)`, an external one moves
+/// the item to `out`, and an unrouted port is an internal sink. `cums`
+/// holds each port's precomputed cumulative distribution.
+fn route(
+    routes: &[MetaRoute],
+    cums: &[Vec<f64>],
+    rng: &mut XorShift64,
+    level: &mut Vec<(usize, Tuple)>,
+    start: usize,
+    out: &mut Outputs,
+) {
+    let mut kept = start;
+    for i in start..level.len() {
+        let dest = match routes.get(level[i].0) {
+            Some(MetaRoute::Unicast(d)) => *d,
+            Some(MetaRoute::Probabilistic { choices }) => {
+                let cum = &cums[level[i].0];
+                let u = rng.next_f64();
                 // First index with `u < cum[idx]`; the last bucket absorbs
                 // floating-point slack, matching `sample_discrete`.
                 let idx = cum.partition_point(|&c| c <= u).min(choices.len() - 1);
                 choices[idx].0
             }
-        })
-    }
-
-    /// Drains `self.work` through the members, emitting externals to
-    /// `out`. The queue is always empty on return, ready for reuse.
-    fn drive(&mut self, out: &mut Outputs) {
-        while let Some((m, item)) = self.work.pop_front() {
-            self.scratch.clear();
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.members[m].process(item, &mut scratch);
-            for (port, emitted) in scratch.drain() {
-                match self.resolve(m, port) {
-                    Some(MetaDest::Member(j)) => self.work.push_back((j, emitted)),
-                    Some(MetaDest::Output(p)) => out.emit(p, emitted),
-                    None => {} // unrouted member port: internal sink
+            None => continue,
+        };
+        match dest {
+            MetaDest::Member(j) => {
+                if kept == i {
+                    level[i].0 = j;
+                } else {
+                    level[kept] = (j, level[i].1);
                 }
+                kept += 1;
             }
-            self.scratch = scratch;
+            MetaDest::Output(p) => out.emit(p, level[i].1),
         }
     }
+    level.truncate(kept);
 }
 
 impl StreamOperator for MetaOperator {
     fn process(&mut self, item: Tuple, out: &mut Outputs) {
-        self.work.push_back((self.front, item));
+        // A member panic that a `Resume` supervisor catches unwinds out of
+        // `drive` mid-traversal; what is left of the poisoned item's
+        // traversal is dropped here rather than leaking into this one.
+        self.level.clear();
+        self.next.clear();
+        self.members[self.front].process(item, &mut self.level);
+        route(
+            &self.routes[self.front],
+            &self.cums[self.front],
+            &mut self.rng,
+            self.level.items_mut(),
+            0,
+            out,
+        );
         self.drive(out);
     }
 
     fn flush(&mut self, out: &mut Outputs) {
         // Flush members front-first (precomputed order) so buffered
         // state (windows) drains through the same internal routing as
-        // live items.
+        // live items: a member's flush output is the first level.
         for idx in 0..self.flush_order.len() {
             let m = self.flush_order[idx];
-            self.scratch.clear();
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.members[m].flush(&mut scratch);
-            for (port, emitted) in scratch.drain() {
-                match self.resolve(m, port) {
-                    Some(MetaDest::Member(j)) => self.work.push_back((j, emitted)),
-                    Some(MetaDest::Output(p)) => out.emit(p, emitted),
-                    None => {}
-                }
-            }
-            self.scratch = scratch;
+            self.members[m].flush(&mut self.level);
+            route(
+                &self.routes[m],
+                &self.cums[m],
+                &mut self.rng,
+                self.level.items_mut(),
+                0,
+                out,
+            );
             self.drive(out);
         }
     }
@@ -196,15 +246,15 @@ impl StreamOperator for MetaOperator {
         for m in &mut self.members {
             m.reset();
         }
-        self.scratch.clear();
-        self.work.clear();
+        self.level.clear();
+        self.next.clear();
     }
 
     fn snapshot(&mut self) -> Option<StateSnapshot> {
         // Layout: rng state, member count, then per member a presence
         // flag and (if present) its snapshot length-prefixed in 64-bit
-        // words. Epoch barriers land between tuples, so the work-list
-        // and scratch are empty and carry no state.
+        // words. Epoch barriers land between tuples, so the frontiers are
+        // empty and carry no state.
         let mut snap = StateSnapshot::new();
         snap.push_u64(self.rng.state());
         snap.push_u64(self.members.len() as u64);
@@ -293,6 +343,95 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out.items()[0].1.values[0], 11.0);
         assert_eq!(meta.num_members(), 2);
+    }
+
+    fn member(f: impl FnMut(Tuple, &mut Outputs) + Send + 'static) -> Box<dyn StreamOperator> {
+        Box::new(FnOperator::new("member", f))
+    }
+
+    /// A linear chain of `members` ending on external port `out_port`.
+    fn chain(members: Vec<Box<dyn StreamOperator>>, out_port: usize) -> MetaOperator {
+        let n = members.len();
+        let routes = (0..n)
+            .map(|m| {
+                let dest = if m + 1 < n {
+                    MetaDest::Member(m + 1)
+                } else {
+                    MetaDest::Output(out_port)
+                };
+                vec![MetaRoute::Unicast(dest)]
+            })
+            .collect();
+        MetaOperator::new("F", members, routes, 0, 1)
+    }
+
+    #[test]
+    fn chain_stages_apply_in_order() {
+        // x * 2 then + 1 reads 7 from 3; the other order would read 8.
+        let mut meta = chain(
+            vec![
+                member(|t: Tuple, out: &mut Outputs| {
+                    out.emit_default(t.with_value(0, t.values[0] * 2.0))
+                }),
+                add_op(1.0),
+            ],
+            0,
+        );
+        let mut out = Outputs::new();
+        meta.process(Tuple::splat(0, 0, 3.0), &mut out);
+        assert_eq!(out.items()[0].1.values[0], 7.0);
+    }
+
+    #[test]
+    fn filtered_item_never_reaches_later_members() {
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let seen = calls.clone();
+        let mut meta = chain(
+            vec![
+                member(|t: Tuple, out: &mut Outputs| {
+                    if t.values[0] >= 0.5 {
+                        out.emit_default(t);
+                    }
+                }),
+                member(move |t: Tuple, out: &mut Outputs| {
+                    seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    out.emit_default(t);
+                }),
+            ],
+            0,
+        );
+        let mut out = Outputs::new();
+        meta.process(Tuple::splat(0, 0, 0.1), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        meta.process(Tuple::splat(0, 1, 0.9), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn fan_out_leaves_in_emission_order_on_its_port() {
+        // Three copies tagged 0, 1, 2 pass the next stage and leave on
+        // port 3 in the order they were emitted.
+        let mut meta = chain(
+            vec![
+                member(|t: Tuple, out: &mut Outputs| {
+                    for i in 0..3 {
+                        out.emit_default(t.with_value(1, f64::from(i)));
+                    }
+                }),
+                add_op(1.0),
+            ],
+            3,
+        );
+        let mut out = Outputs::new();
+        meta.process(Tuple::splat(0, 7, 2.0), &mut out);
+        let got: Vec<(usize, f64, f64)> = out
+            .items()
+            .iter()
+            .map(|(p, t)| (*p, t.values[0], t.values[1]))
+            .collect();
+        assert_eq!(got, [(3, 3.0, 0.0), (3, 3.0, 1.0), (3, 3.0, 2.0)]);
     }
 
     #[test]

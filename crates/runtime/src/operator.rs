@@ -62,6 +62,11 @@ impl Outputs {
         self.items.drain(..)
     }
 
+    /// The buffered `(port, item)` pairs, for rewriting in place.
+    pub(crate) fn items_mut(&mut self) -> &mut Vec<(usize, Tuple)> {
+        &mut self.items
+    }
+
     /// Propagates a source timestamp onto any buffered item the operator
     /// constructed from scratch (i.e. still unstamped). Called by the
     /// executors after each `process` invocation so end-to-end latency

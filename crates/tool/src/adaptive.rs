@@ -363,7 +363,6 @@ pub fn run_adaptive(
         items: cfg.items,
         seed: cfg.engine.seed,
         provision,
-        ..CodegenOptions::default()
     };
     let plan = build_actor_graph(topo, source_keys, &initial, &[], &opts)?;
 

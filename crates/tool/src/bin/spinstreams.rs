@@ -139,8 +139,8 @@ fn usage() -> ExitCode {
          oracle    — cross-validate Algorithm 1/2/3 predictions against the simulator (and a\n\
                      threaded smoke run) over seeded topologies; exits nonzero on divergence.\n\
                      --seeds N (default 20), --seed-start S (default 0), --no-threaded,\n\
-                     --no-fission, --no-fusion (skip the monomorphized-vs-interpreted fusion\n\
-                     layer), --no-minimize, --workers N (pool executor for the threaded\n\
+                     --no-fission, --no-fusion (skip the fused-vs-unfused fusion layer),\n\
+                     --no-minimize, --workers N (pool executor for the threaded\n\
                      smoke runs), --pin-cores L, --artifacts DIR (write repro artifacts),\n\
                      --adaptation-seeds A,B,C (run the drift → live-migration adaptation\n\
                      layer on the listed seeds instead of the static sweep),\n\

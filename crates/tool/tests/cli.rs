@@ -50,13 +50,17 @@ impl Drop for TopologyFile {
 }
 
 fn topology_file() -> TopologyFile {
+    topology_file_with(TOPOLOGY)
+}
+
+fn topology_file_with(text: &str) -> TopologyFile {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "ss-cli-{}-{}.xml",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&path, TOPOLOGY).expect("write temp topology");
+    std::fs::write(&path, text).expect("write temp topology");
     TopologyFile(path)
 }
 
@@ -124,6 +128,51 @@ fn codegen_emits_compilable_looking_source() {
     assert!(ok);
     assert!(stdout.contains("fn main()"));
     assert!(stdout.contains("build_actor_graph"));
+}
+
+#[test]
+fn codegen_output_matches_the_committed_example() {
+    // `cargo test` builds `examples/generated_quickstart.rs`, so this
+    // equality makes the emitted program compile under tier-1.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let (stdout, stderr, ok) = run_cli(&["codegen", &format!("{root}/examples/quickstart.xml")]);
+    assert!(ok, "{stderr}");
+    let committed = std::fs::read_to_string(format!("{root}/examples/generated_quickstart.rs"))
+        .expect("read the committed example");
+    assert_eq!(
+        stdout, committed,
+        "regenerate with: spinstreams-cli codegen examples/quickstart.xml > examples/generated_quickstart.rs"
+    );
+}
+
+#[test]
+fn malformed_xml_numbers_exit_with_a_message_naming_the_attribute() {
+    let cases = [
+        (
+            "service-time=\"400\"",
+            "service-time=\"-400\"",
+            "service-time=-400",
+        ),
+        (
+            "service-time=\"400\"",
+            "service-time=\"NaN\"",
+            "service-time=NaN",
+        ),
+        ("id=\"3\"", "id=\"3.7\"", "id=\"3.7\""),
+        ("to=\"3\"", "to=\"3.9\"", "to=\"3.9\""),
+    ];
+    for (from, to, named) in cases {
+        let text = TOPOLOGY.replacen(from, to, 1);
+        assert_ne!(text, TOPOLOGY, "{from} must occur in the topology");
+        let path = topology_file_with(&text);
+        let out = Command::new(env!("CARGO_BIN_EXE_spinstreams-cli"))
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .expect("spawn spinstreams CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{to}: {stderr}");
+        assert!(stderr.contains(named), "{to}: {stderr}");
+    }
 }
 
 #[test]

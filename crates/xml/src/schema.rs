@@ -473,6 +473,16 @@ fn num_attr(node: &XmlNode, key: &str) -> Result<f64, SchemaError> {
         .map_err(|_| invalid(format!("attribute {key}={raw:?} is not a number")))
 }
 
+/// A required attribute naming an operator: a non-negative integer.
+fn id_attr(node: &XmlNode, key: &str) -> Result<usize, SchemaError> {
+    let raw = req_attr(node, key)?;
+    raw.parse::<usize>().map_err(|_| {
+        invalid(format!(
+            "attribute {key}={raw:?} is not a non-negative integer"
+        ))
+    })
+}
+
 /// Parses a topology document produced by [`topology_to_xml`] (or written
 /// by hand following the schema).
 ///
@@ -488,9 +498,14 @@ pub fn topology_from_xml(text: &str) -> Result<Topology, SchemaError> {
     }
     let mut ops: Vec<(usize, OperatorSpec)> = Vec::new();
     for node in root.children_named("operator") {
-        let id = num_attr(node, "id")? as usize;
+        let id = id_attr(node, "id")?;
         let name = req_attr(node, "name")?.to_string();
         let raw_time = num_attr(node, "service-time")?;
+        if !(raw_time.is_finite() && raw_time >= 0.0) {
+            return Err(invalid(format!(
+                "attribute service-time={raw_time} must be a finite non-negative number"
+            )));
+        }
         let unit = node.get_attr("time-unit").unwrap_or("us");
         let service_time = match unit {
             "s" => ServiceTime::from_secs(raw_time),
@@ -551,8 +566,8 @@ pub fn topology_from_xml(text: &str) -> Result<Topology, SchemaError> {
         b.add_operator(spec);
     }
     for node in root.children_named("edge") {
-        let from = num_attr(node, "from")? as usize;
-        let to = num_attr(node, "to")? as usize;
+        let from = id_attr(node, "from")?;
+        let to = id_attr(node, "to")?;
         let p = num_attr(node, "probability")?;
         b.add_edge(OperatorId(from), OperatorId(to), p)?;
     }
@@ -664,6 +679,18 @@ mod tests {
         // Bad number.
         let doc = r#"<topology><operator id="0" name="a" type="stateless" service-time="xx"/></topology>"#;
         assert!(topology_from_xml(doc).is_err());
+        // Non-finite or negative service times.
+        for t in ["-400", "NaN", "inf", "-0.5"] {
+            let doc = format!(
+                r#"<topology><operator id="0" name="a" type="stateless" service-time="{t}"/></topology>"#
+            );
+            match topology_from_xml(&doc).unwrap_err() {
+                SchemaError::Invalid { reason } => {
+                    assert!(reason.contains("service-time"), "{reason}")
+                }
+                other => panic!("service-time={t}: {other:?}"),
+            }
+        }
         // Unknown type.
         let doc =
             r#"<topology><operator id="0" name="a" type="weird" service-time="1"/></topology>"#;
@@ -680,6 +707,40 @@ mod tests {
             topology_from_xml(doc).unwrap_err(),
             SchemaError::Invalid { .. }
         ));
+        // Ids and edge endpoints that are not non-negative integers.
+        for (attr, doc) in [
+            (
+                "id",
+                r#"<topology><operator id="3.7" name="a" type="stateless" service-time="1"/></topology>"#,
+            ),
+            (
+                "id",
+                r#"<topology><operator id="-1" name="a" type="stateless" service-time="1"/></topology>"#,
+            ),
+            (
+                "from",
+                r#"<topology>
+                <operator id="0" name="a" type="stateless" service-time="1"/>
+                <operator id="1" name="b" type="stateless" service-time="1"/>
+                <edge from="0.2" to="1" probability="1.0"/>
+            </topology>"#,
+            ),
+            (
+                "to",
+                r#"<topology>
+                <operator id="0" name="a" type="stateless" service-time="1"/>
+                <operator id="1" name="b" type="stateless" service-time="1"/>
+                <edge from="0" to="1.9" probability="1.0"/>
+            </topology>"#,
+            ),
+        ] {
+            match topology_from_xml(doc).unwrap_err() {
+                SchemaError::Invalid { reason } => {
+                    assert!(reason.contains(&format!("attribute {attr}=")), "{reason}")
+                }
+                other => panic!("{attr}: {other:?}"),
+            }
+        }
         // Partitioned without keys.
         let doc = r#"<topology><operator id="0" name="a" type="partitioned-stateful" service-time="1"/></topology>"#;
         assert!(matches!(

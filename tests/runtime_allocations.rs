@@ -1,8 +1,8 @@
 //! Allocation regression test of the wall-clock engine's steady-state data
 //! path: once a run is set up, pushing more tuples through it must not
 //! allocate more. The graph is src → F(identity-map × 3) → sink, the
-//! interior a monomorphized [`FusedChain`] — the shape Algorithm 3 fusion
-//! groups run as — on a one-worker pool at batch 64.
+//! interior one [`MetaOperator`] — the shape Algorithm 3 fusion groups run
+//! as — on a one-worker pool at batch 64.
 //!
 //! A counting global allocator tallies allocations on every thread (the
 //! engine runs its source and pool worker on threads of its own). Startup
@@ -10,13 +10,13 @@
 //! spawns — costs the same at `N` and `2N` tuples, so the difference
 //! between the two runs is what the extra `N` tuples allocated.
 //!
-//! [`FusedChain`]: spinstreams::runtime::FusedChain
+//! [`MetaOperator`]: spinstreams::runtime::MetaOperator
 
-use spinstreams::operators::{build_kernel, OperatorKind, OperatorParams};
+use spinstreams::operators::{build_operator, OperatorKind, OperatorParams};
 use spinstreams::runtime::operators::PassThrough;
 use spinstreams::runtime::{
-    run, ActorGraph, Behavior, EngineConfig, ExecutorKind, FusedChain, Route, SourceConfig,
-    DEFAULT_PORT,
+    run, ActorGraph, Behavior, EngineConfig, ExecutorKind, MetaDest, MetaOperator, MetaRoute,
+    Route, SourceConfig, DEFAULT_PORT,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,12 +61,23 @@ fn fused_graph(items: u64) -> (ActorGraph, spinstreams::runtime::ActorId) {
         work_ns: 0,
         ..OperatorParams::default()
     };
-    let kernels = (0..3)
-        .map(|_| build_kernel(OperatorKind::IdentityMap, &params).expect("stateless kind"))
+    let members = (0..3)
+        .map(|_| build_operator(OperatorKind::IdentityMap, &params))
         .collect();
+    let routes = vec![
+        vec![MetaRoute::Unicast(MetaDest::Member(1))],
+        vec![MetaRoute::Unicast(MetaDest::Member(2))],
+        vec![MetaRoute::Unicast(MetaDest::Output(DEFAULT_PORT))],
+    ];
     let f = g.add_actor(
         "fused",
-        Behavior::worker(FusedChain::new("F(identity-map x3)", kernels, DEFAULT_PORT)),
+        Behavior::worker(MetaOperator::new(
+            "F(identity-map x3)",
+            members,
+            routes,
+            0,
+            1,
+        )),
     );
     let k = g.add_actor("sink", Behavior::worker(PassThrough));
     g.connect(s, Route::Unicast(f));

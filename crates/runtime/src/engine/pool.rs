@@ -7,7 +7,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Task states for the pool executor's lost-wakeup-free scheduling
@@ -51,6 +50,13 @@ pub(super) struct PoolShared {
     /// this lock — only wake transitions and worker pops do.
     ready: Mutex<ReadyState>,
     ready_cv: Condvar,
+    /// Indexes on the ready queue, summed over shards. Written under the
+    /// `ready` lock by every push and pop; read without it by an idle
+    /// worker's spin, which only needs a hint that work has arrived.
+    queued: AtomicUsize,
+    /// `notify_one` calls made by [`PoolShared::wake`] (relaxed; read by
+    /// tests of the park protocol).
+    notifies: AtomicU64,
     /// Shard index per actor. Single-tenant: its topological rank band —
     /// with `s` shards over `n` actors, actor `i` lands in shard
     /// `rank[i] * s / n`, so contiguous pipeline stages share a shard and
@@ -91,6 +97,11 @@ pub(super) struct PoolShared {
 struct ReadyState {
     shards: Vec<VecDeque<usize>>,
     drr: Option<DrrState>,
+    /// Workers parked on `ready_cv`. A worker counts itself in before
+    /// `wait` and out after it, and a waker reads the count in the same
+    /// critical section as its enqueue, so a wake notifies exactly when a
+    /// worker sleeps and none is ever lost.
+    sleepers: usize,
 }
 
 /// Deficit round-robin over tenant shards: each tenant has a quantum (its
@@ -122,6 +133,7 @@ impl ReadyState {
                     in_active: vec![false; n],
                 }
             }),
+            sleepers: 0,
         }
     }
 
@@ -244,6 +256,8 @@ impl PoolShared {
             states: (0..n).map(|_| AtomicU8::new(T_IDLE)).collect(),
             ready: Mutex::new(ReadyState::new(shards, quantum)),
             ready_cv: Condvar::new(),
+            queued: AtomicUsize::new(0),
+            notifies: AtomicU64::new(0),
             shard_of,
             tenant_of,
             ledger,
@@ -267,11 +281,18 @@ impl PoolShared {
                     {
                         let mut q = self.ready.lock().unwrap_or_else(PoisonError::into_inner);
                         q.enqueue(self.shard_of[i], i);
+                        self.queued.fetch_add(1, Ordering::Relaxed);
+                        let sleeping = q.sleepers > 0;
                         drop(q);
-                        // `notify_one` may rouse a worker homed on another
-                        // shard; that is fine — workers steal across shards
-                        // before parking, so no wake is ever lost.
-                        self.ready_cv.notify_one();
+                        // Only a parked worker needs the (syscall-making)
+                        // notify: a running or spinning one re-checks the
+                        // queue before it parks. The notify may rouse a
+                        // worker homed on another shard; that is fine —
+                        // workers steal across shards before parking.
+                        if sleeping {
+                            self.notifies.fetch_add(1, Ordering::Relaxed);
+                            self.ready_cv.notify_one();
+                        }
                         return;
                     }
                 }
@@ -396,12 +417,16 @@ pub(super) fn run_one_ready(pool: &Arc<PoolShared>, helper_slot: usize) -> bool 
         // blocked helper. Helping bypasses the DRR rotor by design — it
         // runs on the *blocked producer's* thread and only ever advances
         // the helper's own tenant, so co-tenants lose nothing.
-        q.shards.iter_mut().rev().find_map(|shard| {
+        let popped = q.shards.iter_mut().rev().find_map(|shard| {
             shard
                 .iter()
                 .position(|&i| pool.tenant_of[i] == tenant && pool.rank[i] >= min_rank)
                 .and_then(|pos| shard.remove(pos))
-        })
+        });
+        if popped.is_some() {
+            pool.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        popped
     };
     match popped {
         Some(i) => {
@@ -414,55 +439,75 @@ pub(super) fn run_one_ready(pool: &Arc<PoolShared>, helper_slot: usize) -> bool 
     }
 }
 
+/// How long an idle worker spins on [`PoolShared::queued`] before it
+/// parks: about what a park costs the other side (on a 2-core Xeon VM a
+/// `notify_one` to a parked worker takes the waker ~2.3 µs, and the worker
+/// runs ~2.6 µs later), so a task made ready within the window is run
+/// without either cost. Of the windows tried (0, 2 and 5 µs), 2 µs held
+/// `chain_saturate`'s throughput with the least spread and kept most of
+/// `chain_paced`'s CPU saving (EXPERIMENTS.md, "Idle workers park").
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(2);
+
 /// A pool worker thread: pop ready tasks and run each until it blocks;
 /// park on the condvar when the queue stays empty; exit when no live
 /// tasks remain.
 ///
-/// An empty queue first costs a bounded run of `yield_now` before the
-/// condvar park: a producer mid-burst will make a task ready within its
-/// next quantum, and yielding to it is far cheaper than the futex
-/// round-trip of a park/notify pair per burst — the context-switch thrash
-/// this executor exists to remove.
+/// An empty queue first costs a spin of at most [`SPIN_BEFORE_PARK`] on
+/// the queued-task count, with the lock released: a producer mid-burst
+/// makes a task ready within microseconds, and catching it here saves the
+/// park/notify pair. The spin makes no syscall, so it takes nothing from
+/// the producer but the core; past the window the worker re-checks the
+/// queue under the lock and parks, counted in `sleepers`, until a
+/// [`PoolShared::wake`] sees it there and notifies.
 pub(super) fn worker_loop(pool: &Arc<PoolShared>, home: usize) {
-    const YIELDS_BEFORE_PARK: u32 = 64;
-    enum Next {
-        Run(usize),
-        Yield,
-        Exit,
-    }
-    let mut idle_yields = 0u32;
     loop {
         let next = {
             let mut q = pool.ready.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut spun = false;
             loop {
                 if let Some(i) = q.pop(home) {
-                    break Next::Run(i);
+                    pool.queued.fetch_sub(1, Ordering::Relaxed);
+                    break Some(i);
                 }
                 if pool.live.load(Ordering::Acquire) == 0 {
-                    break Next::Exit;
+                    break None;
                 }
-                if idle_yields < YIELDS_BEFORE_PARK {
-                    break Next::Yield;
+                if !spun {
+                    drop(q);
+                    spin_for_work(pool);
+                    spun = true;
+                    q = pool.ready.lock().unwrap_or_else(PoisonError::into_inner);
+                    continue;
                 }
+                q.sleepers += 1;
                 q = pool
                     .ready_cv
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
+                q.sleepers -= 1;
             }
         };
         match next {
-            Next::Run(i) => {
-                idle_yields = 0;
+            Some(i) => {
                 if pool.claim(i) {
                     run_task(pool, i);
                 }
             }
-            Next::Yield => {
-                idle_yields += 1;
-                thread::yield_now();
-            }
-            Next::Exit => return,
+            None => return,
         }
+    }
+}
+
+/// Spins until a task is queued, the pool has finished, or
+/// [`SPIN_BEFORE_PARK`] has passed. Reads only atomics and the vDSO clock:
+/// no lock, no syscall.
+fn spin_for_work(pool: &PoolShared) {
+    let start = Instant::now();
+    while pool.queued.load(Ordering::Relaxed) == 0
+        && pool.live.load(Ordering::Relaxed) != 0
+        && start.elapsed() < SPIN_BEFORE_PARK
+    {
+        std::hint::spin_loop();
     }
 }
 
@@ -678,6 +723,115 @@ mod tests {
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop(0)).collect();
         assert_eq!(order, [0, 101, 102, 103, 1, 104, 105, 106]);
+    }
+
+    /// Polls `done` until it holds or `deadline` passes; panics on a hang
+    /// instead of stalling the test binary.
+    fn within(deadline: Duration, what: &str, mut done: impl FnMut() -> bool) {
+        let until = Instant::now() + deadline;
+        while !done() {
+            assert!(
+                Instant::now() < until,
+                "{what} took longer than {deadline:?}"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn wake_notifies_only_a_parked_worker() {
+        // Two task slots with nothing stored: a claimed empty slot runs as
+        // `Finished`, so a task "runs" by reaching DONE and counting down
+        // `live`.
+        let ledger = Arc::new(TenantLedger::new(&[2], Instant::now()));
+        let pool = Arc::new(PoolShared::new(vec![0, 1], vec![0, 0], 1, None, ledger));
+        pool.live.store(2, Ordering::Release);
+        let sleepers = |pool: &PoolShared| pool.ready.lock().unwrap().sleepers;
+
+        // No worker exists, so none is parked: the wake only enqueues.
+        pool.wake(0);
+        assert_eq!(pool.notifies.load(Ordering::Relaxed), 0);
+
+        // The worker runs task 0, finds the queue empty, spins and parks.
+        let worker = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || worker_loop(&pool, 0))
+        };
+        within(Duration::from_secs(30), "parking", || sleepers(&pool) == 1);
+        assert_eq!(pool.states[0].load(Ordering::Acquire), T_DONE);
+        assert_eq!(pool.notifies.load(Ordering::Relaxed), 0);
+
+        // One wake of a parked worker: exactly one notify, and task 1 runs.
+        pool.wake(1);
+        within(Duration::from_secs(30), "worker exit", || {
+            worker.is_finished()
+        });
+        worker.join().unwrap();
+        assert_eq!(pool.notifies.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.states[1].load(Ordering::Acquire), T_DONE);
+        assert_eq!(pool.live.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_when_workers_park_between_items() {
+        // A lost wake leaves a task queued behind a parked worker: later
+        // wakes of that READY task push nothing, so the run hangs on EOS.
+        // Each run is joined against a deadline so a hang fails the test.
+        fn run_within(g: ActorGraph, cfg: EngineConfig, what: &str) -> RunReport {
+            let handle = std::thread::spawn(move || run(g, &cfg).unwrap());
+            within(Duration::from_secs(30), what, || handle.is_finished());
+            handle.join().unwrap()
+        }
+        for workers in [1, 2] {
+            // Paced at batch 1. At 20 k/s every item is its own burst: the
+            // worker drains, spins past its window and parks between items,
+            // so every wake finds a parked worker. At 200 k/s the source's
+            // sleeps batch items into bursts, so wakes also land while the
+            // worker runs or spins, just before it parks. The mailboxes hold
+            // the whole stream, so the source never blocks and never helps:
+            // a lost wake is not rescued by helping and hangs the run.
+            for rate in [20_000.0, 200_000.0] {
+                let mut g = ActorGraph::new();
+                let s = g.add_actor("src", Behavior::Source(SourceConfig::new(rate, 2_000)));
+                let a = g.add_actor("a", Behavior::worker(PassThrough));
+                let k = g.add_actor("sink", Behavior::worker(PassThrough));
+                g.connect(s, Route::Unicast(a));
+                g.connect(a, Route::Unicast(k));
+                for id in [a, k] {
+                    g.set_mailbox_capacity(id, 4_096);
+                }
+                let cfg = EngineConfig {
+                    batch_size: 1,
+                    ..pool_cfg(workers)
+                };
+                let what = format!("paced at {rate}/s, pool-{workers}");
+                let r = run_within(g, cfg, &what);
+                assert_eq!(r.actor(k).items_in, 2_000, "{what}");
+                assert_eq!(r.total_dropped(), 0, "{what}");
+            }
+
+            // Unpaced into 2-slot mailboxes: producers block, help and
+            // wake consumers constantly.
+            let mut g = ActorGraph::new();
+            let s = g.add_actor(
+                "src",
+                Behavior::Source(SourceConfig::new(f64::INFINITY, 2_000)),
+            );
+            let a = g.add_actor("a", Behavior::worker(PassThrough));
+            let k = g.add_actor("sink", Behavior::worker(PassThrough));
+            g.connect(s, Route::Unicast(a));
+            g.connect(a, Route::Unicast(k));
+            for id in [a, k] {
+                g.set_mailbox_capacity(id, 2);
+            }
+            let r = run_within(
+                g,
+                pool_cfg(workers),
+                &format!("unpaced run on pool-{workers}"),
+            );
+            assert_eq!(r.actor(k).items_in, 2_000, "unpaced, pool-{workers}");
+            assert_eq!(r.total_dropped(), 0, "unpaced, pool-{workers}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@ use spinstreams_core::{OperatorId, Topology};
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ObservedOperator {
     /// Measured busy fraction over the run (`None` when unobservable —
-    /// sources, or operators replicated across several actors).
+    /// sources, fused members, or operators replicated across several
+    /// actors).
     pub utilization: Option<f64>,
     /// Total time this operator spent blocked sending into full
     /// downstream mailboxes, in nanoseconds.

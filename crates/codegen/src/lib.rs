@@ -37,6 +37,8 @@ mod build;
 mod emit;
 mod serialize;
 
-pub use build::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup, GeneratedPlan};
+pub use build::{
+    build_actor_graph, ActorCounters, CodegenError, CodegenOptions, FusionGroup, GeneratedPlan,
+};
 pub use emit::emit_rust_source;
 pub use serialize::{checksum, plan_cache_key, serialize_plan, serialize_topology};

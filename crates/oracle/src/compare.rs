@@ -153,15 +153,15 @@ pub fn compare_layer(
             threaded_departure: None,
             predicted_utilization: m.utilization,
             sim_utilization: sim.utilizations[id.0],
-            sim_items_in: sim.items_in[id.0],
+            sim_items_in: sim.counters[id.0].items_in,
         };
 
         // Sample-size guard: sources never consume, so gate them on
         // emissions instead.
         let samples = if id == src {
-            sim.items_out[id.0]
+            sim.counters[id.0].items_out
         } else {
-            sim.items_in[id.0]
+            sim.counters[id.0].items_in
         };
         if samples >= tol.min_samples {
             if let Some(meas) = row.sim_departure {
@@ -249,7 +249,8 @@ pub fn compare_threaded(
         if id == src {
             continue;
         }
-        if sim.items_in[id.0] < tol.min_samples || threaded.items_in[id.0] < guard {
+        if sim.counters[id.0].items_in < tol.min_samples || threaded.counters[id.0].items_in < guard
+        {
             continue;
         }
         let (Some(a), Some(b)) = (sim.selectivity_ratio(id), threaded.selectivity_ratio(id)) else {
@@ -312,7 +313,7 @@ pub fn format_table(table: &RateTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinstreams_analysis::steady_state;
+    use spinstreams_analysis::{steady_state, OperatorCounters};
     use spinstreams_core::{OperatorSpec, ServiceTime, Topology};
 
     fn two_op_topo() -> Topology {
@@ -335,9 +336,15 @@ mod tests {
                 .enumerate()
                 .map(|(i, m)| if i == 0 { None } else { Some(m.utilization) })
                 .collect(),
-            items_in: report.metrics.iter().map(|_| 10_000).collect(),
-            items_out: report.metrics.iter().map(|_| 10_000).collect(),
-            busy_secs: report.metrics.iter().map(|_| None).collect(),
+            counters: report
+                .metrics
+                .iter()
+                .map(|_| OperatorCounters {
+                    items_in: 10_000,
+                    items_out: 10_000,
+                    busy_ns: None,
+                })
+                .collect(),
             dropped: 0,
         }
     }
@@ -391,7 +398,7 @@ mod tests {
         let report = steady_state(&t);
         let mut sim = exact_measurement(&report);
         sim.departures[1] = Some(1.0); // wildly off...
-        sim.items_in[1] = 3; // ...but starved: only 3 items seen
+        sim.counters[1].items_in = 3; // ...but starved: only 3 items seen
         let (_, divs) = compare_layer(
             1,
             Layer::Base,
@@ -419,7 +426,7 @@ mod tests {
             &Tolerances::default(),
         );
         let mut thr = exact_measurement(&report);
-        thr.items_out[1] = 5_000; // ratio 0.5 vs sim's 1.0
+        thr.counters[1].items_out = 5_000; // ratio 0.5 vs sim's 1.0
         let divs = compare_threaded(1, &t, &mut table, &sim, &thr, &Tolerances::default());
         assert!(divs
             .iter()

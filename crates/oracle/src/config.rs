@@ -53,10 +53,8 @@ pub struct OracleConfig {
     pub topogen: TopogenConfig,
     /// Items generated per measurement run.
     pub items: u64,
-    /// Items generated for the calibration run (§4.1 profiling step).
-    pub calibration_items: u64,
-    /// Minimum consumed items before calibration rewrites an operator's
-    /// annotations.
+    /// Minimum consumed items before the §4.1 profiling step rewrites an
+    /// operator's annotations (emitted items, for its routing split).
     pub min_calibration_samples: u64,
     /// Tolerance bands.
     pub tolerances: Tolerances,
@@ -94,7 +92,6 @@ impl Default for OracleConfig {
                 ..TopogenConfig::fast()
             },
             items: 6_000,
-            calibration_items: 6_000,
             min_calibration_samples: 100,
             tolerances: Tolerances::default(),
             check_fission: true,
@@ -116,7 +113,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = OracleConfig::default();
         assert!(c.tolerances.throughput_rel < c.tolerances.threaded_ratio_rel);
-        assert!(c.items >= c.calibration_items);
         assert!(c.topogen.source_selectivity_range.is_some());
         assert!(c.minimize_budget > 0);
     }

@@ -40,9 +40,7 @@ pub use compare::{
     RateTable,
 };
 pub use config::{OracleConfig, Tolerances};
-pub use layers::{
-    annotate, calibrate, measure, measure_with, sim_executor, LayerMeasurement, OracleError,
-};
+pub use layers::{measure, measure_with, sim_executor, LayerMeasurement, OracleError};
 pub use minimize::{minimize, MinimalCase};
 pub use scenario::{scenario, Scenario};
 pub use sweep::{evaluate, run_scenario, run_sweep, DivergentCase, ScenarioReport, SweepReport};

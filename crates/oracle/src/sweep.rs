@@ -1,9 +1,9 @@
 //! The oracle sweep: seeded scenario evaluation and the driver loop.
 
+use crate::layers::profile;
 use crate::{
-    annotate, compare_layer, compare_threaded, measure, measure_with, minimize, scenario,
-    sim_executor, Divergence, DivergenceKind, Layer, MinimalCase, OracleConfig, RateTable,
-    Scenario,
+    compare_layer, compare_threaded, measure, measure_with, minimize, scenario, sim_executor,
+    Divergence, DivergenceKind, Layer, MinimalCase, OracleConfig, RateTable, Scenario,
 };
 use spinstreams_analysis::{
     eliminate_bottlenecks, evaluate_with_replicas, fusable_chain, steady_state,
@@ -63,7 +63,7 @@ pub fn evaluate(
     }
 
     // Base layer: one deterministic sim run of the declared topology.
-    // Annotations are profiled from this very run (§4.1 — see [`annotate`]
+    // Annotations are profiled from this very run (§4.1 — see `profile`
     // for why sharing the trace matters), then Algorithm 1's prediction on
     // those annotations is held against the run's measured rates.
     let base = match measure(topo, source_keys, &[], cfg.items, seed, &sim_executor(seed)) {
@@ -83,7 +83,7 @@ pub fn evaluate(
             };
         }
     };
-    let cal = match annotate(topo, &base, None, cfg.min_calibration_samples) {
+    let cal = match profile(topo, &base, cfg.min_calibration_samples) {
         Ok(t) => t,
         Err(e) => {
             pipeline_failure(
@@ -149,8 +149,8 @@ pub fn evaluate(
     // Fission layer: Algorithm 2's replicated deployment, when it
     // replicates anything. The replicated run gets its own trace-derived
     // annotations (a join's realized match rate shifts when its input
-    // streams interleave differently), falling back to the base layer's
-    // where replication hides the per-operator counters.
+    // streams interleave differently), with the base layer's calibrated
+    // topology as the prior for whatever the run leaves unestimated.
     if cfg.check_fission {
         let plan = eliminate_bottlenecks(&cal);
         if plan.replicas.iter().any(|&r| r > 1) {
@@ -172,7 +172,7 @@ pub fn evaluate(
                 seed,
                 &sim_executor(seed),
             ) {
-                Ok(fis) => match annotate(topo, &fis, Some(&cal), cfg.min_calibration_samples) {
+                Ok(fis) => match profile(&cal, &fis, cfg.min_calibration_samples) {
                     Ok(cal_fis) => {
                         let pred = evaluate_with_replicas(&cal_fis, &plan.replicas);
                         let (table, divs) = compare_layer(
@@ -242,8 +242,8 @@ pub fn evaluate(
                         .map(|id| (id, true, true))
                         .chain([(front, true, false), (tail, false, true)]);
                     for (id, inn, out) in checks {
-                        if (inn && unfused.items_in[id.0] != fused.items_in[id.0])
-                            || (out && unfused.items_out[id.0] != fused.items_out[id.0])
+                        let (u, f) = (unfused.counters[id.0], fused.counters[id.0]);
+                        if (inn && u.items_in != f.items_in) || (out && u.items_out != f.items_out)
                         {
                             divergences.push(Divergence {
                                 seed,
@@ -253,10 +253,10 @@ pub fn evaluate(
                                     "{} ({id}): unfused {}/{} vs fused {}/{} items in/out \
                                      (group {:?})",
                                     cal.operator(id).name,
-                                    unfused.items_in[id.0],
-                                    unfused.items_out[id.0],
-                                    fused.items_in[id.0],
-                                    fused.items_out[id.0],
+                                    u.items_in,
+                                    u.items_out,
+                                    f.items_in,
+                                    f.items_out,
                                     group.members,
                                 ),
                             });
@@ -372,7 +372,6 @@ mod tests {
     fn quick_cfg() -> OracleConfig {
         OracleConfig {
             items: 4_000,
-            calibration_items: 3_000,
             threaded_runs: 0,
             minimize: false,
             ..OracleConfig::default()

@@ -2,7 +2,9 @@
 //! is `spinstreams_serve::calibrate`, re-exported by this crate.
 
 use spinstreams_analysis::{evaluate_with_replicas, steady_state, SteadyStateReport};
-use spinstreams_codegen::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup};
+use spinstreams_codegen::{
+    build_actor_graph, CodegenError, CodegenOptions, FusionGroup, GeneratedPlan,
+};
 use spinstreams_core::{KeyDistribution, OperatorId, Topology};
 use spinstreams_runtime::{execute, EngineError, Executor, RunReport};
 use spinstreams_serve::ServeError;
@@ -171,8 +173,24 @@ pub fn predict_vs_measure(
         seed: executor.seed(),
         ..CodegenOptions::default()
     };
-    let plan = build_actor_graph(topo, source_keys.cloned(), replicas, fusions, &opts)?;
-    let run_report = execute(plan.graph, executor)?;
+    let mut plan = build_actor_graph(topo, source_keys.cloned(), replicas, fusions, &opts)?;
+    let run = execute(std::mem::take(&mut plan.graph), executor)?;
+    compare(topo, report, &plan, run)
+}
+
+/// Holds the model `report` against the `run` of `plan`, a deployment of
+/// `topo`.
+///
+/// # Errors
+///
+/// Fails with [`HarnessError::Measurement`] if the run produced no
+/// measurable source throughput.
+pub(crate) fn compare(
+    topo: &Topology,
+    report: SteadyStateReport,
+    plan: &GeneratedPlan,
+    run: RunReport,
+) -> Result<Comparison, HarnessError> {
     // The runtime source reports its *emission* rate; throughput is defined
     // as items ingested per second (§5.2), so divide the source's own
     // selectivity rate factor back out (identity for typical sources).
@@ -181,24 +199,20 @@ pub fn predict_vs_measure(
         .selectivity
         .rate_factor()
         .max(f64::MIN_POSITIVE);
-    let measured_throughput =
-        run_report
-            .source_throughput()
-            .ok_or_else(|| HarnessError::Measurement {
-                reason: "source produced fewer than two items".into(),
-            })?
-            / src_factor;
+    let measured_throughput = run
+        .source_throughput()
+        .ok_or_else(|| HarnessError::Measurement {
+            reason: "source produced fewer than two items".into(),
+        })?
+        / src_factor;
 
     let operators = topo
         .operator_ids()
-        .map(|id| {
-            let actor = run_report.actor(plan.departure_actor[id.0]);
-            OperatorComparison {
-                operator: id,
-                name: topo.operator(id).name.clone(),
-                predicted_departure: report.metric(id).departure,
-                measured_departure: actor.departure_rate(),
-            }
+        .map(|id| OperatorComparison {
+            operator: id,
+            name: topo.operator(id).name.clone(),
+            predicted_departure: report.metric(id).departure,
+            measured_departure: run.actor(plan.departure_actor[id.0]).departure_rate(),
         })
         .collect();
 
@@ -207,7 +221,7 @@ pub fn predict_vs_measure(
         measured_throughput,
         operators,
         report,
-        run: run_report,
+        run,
     })
 }
 

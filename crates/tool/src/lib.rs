@@ -6,10 +6,11 @@
 //! model's predictions against reality.
 //!
 //! * [`calibrate`] — the profiling step: executes the topology once and
-//!   rewrites each operator's service time and selectivity from the
-//!   measured actor metrics ("executing the application as is for a
-//!   reasonable amount of time and instrumenting the code to collect
-//!   profiling measures").
+//!   rewrites each operator's service time, selectivity and observable
+//!   routing probabilities through the one §4.1 estimator
+//!   ([`Reprofiler`](spinstreams_analysis::Reprofiler)) ("executing the
+//!   application as is for a reasonable amount of time and instrumenting
+//!   the code to collect profiling measures").
 //! * [`predict_vs_measure`] — runs Algorithm 1 on the calibrated topology
 //!   *and* executes the deployment, returning per-operator and
 //!   whole-topology comparisons (the data behind Figures 7–9).
@@ -75,7 +76,7 @@ pub use harness::{
     OperatorComparison,
 };
 pub use inspect::{
-    inspect, inspect_json, inspect_table, observed_operators, operator_counters, Inspection,
+    inspect, inspect_json, inspect_table, observed_operators, Inspection,
     ANNOTATION_DRIFT_THRESHOLD,
 };
 pub use multitenant::{

@@ -9,7 +9,7 @@
 //! the §5.2 predicted-vs-measured comparison, performed live instead of
 //! post-hoc.
 
-use crate::harness::{Comparison, HarnessError, OperatorComparison};
+use crate::harness::{compare, Comparison, HarnessError};
 use spinstreams_analysis::{
     steady_state, DriftConfig, DriftMonitor, DriftStatus, DriftVerdict, SteadyStateReport,
 };
@@ -216,18 +216,14 @@ pub fn predict_vs_measure_telemetry(
     drift: DriftConfig,
 ) -> Result<TelemetryRun, HarnessError> {
     let report = steady_state(topo);
-    let seed = match executor {
-        Executor::Threads(c) => c.seed,
-        Executor::VirtualTime(c) => c.seed,
-    };
-    let plan = build_actor_graph(
+    let mut plan = build_actor_graph(
         topo,
         None,
         &[],
         &[],
         &CodegenOptions {
             items,
-            seed,
+            seed: executor.seed(),
             ..CodegenOptions::default()
         },
     )?;
@@ -235,36 +231,12 @@ pub fn predict_vs_measure_telemetry(
 
     let exporter = DriftExporter::new(predicted, drift);
     let tcfg = exporter.attach(telemetry.clone(), |_, _| {});
-    let (run_report, telemetry_report) = execute_with_telemetry(plan.graph, executor, &tcfg)?;
+    let graph = std::mem::take(&mut plan.graph);
+    let (run, telemetry_report) = execute_with_telemetry(graph, executor, &tcfg)?;
     let export = exporter.finish(&telemetry_report);
 
-    let measured_throughput =
-        run_report
-            .source_throughput()
-            .ok_or_else(|| HarnessError::Measurement {
-                reason: "source produced fewer than two items".into(),
-            })?;
-    let operators = topo
-        .operator_ids()
-        .map(|id| {
-            let actor = run_report.actor(plan.departure_actor[id.0]);
-            OperatorComparison {
-                operator: id,
-                name: topo.operator(id).name.clone(),
-                predicted_departure: report.metric(id).departure,
-                measured_departure: actor.departure_rate(),
-            }
-        })
-        .collect();
-
     Ok(TelemetryRun {
-        comparison: Comparison {
-            predicted_throughput: report.throughput.items_per_sec(),
-            measured_throughput,
-            operators,
-            report,
-            run: run_report,
-        },
+        comparison: compare(topo, report, &plan, run)?,
         telemetry: telemetry_report,
         export,
     })
@@ -273,7 +245,7 @@ pub fn predict_vs_measure_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinstreams_core::{OperatorSpec, ServiceTime};
+    use spinstreams_core::{OperatorSpec, Selectivity, ServiceTime};
     use spinstreams_runtime::SimConfig;
     use std::time::Duration;
 
@@ -393,6 +365,40 @@ mod tests {
             run.export.final_drift
         );
         assert!(run.comparison.relative_error() < 0.1);
+    }
+
+    #[test]
+    fn source_selectivity_is_divided_out_on_both_paths() {
+        // The source emits at half its ingestion rate: both drivers must
+        // report the same ingestion throughput for the same run.
+        let mut b = Topology::builder();
+        let s = b.add_operator(
+            OperatorSpec::source("src", ServiceTime::from_micros(100.0))
+                .with_kind("source")
+                .with_selectivity(Selectivity::output(0.5)),
+        );
+        let k = b.add_operator(
+            OperatorSpec::stateless("sink", ServiceTime::from_micros(10.0))
+                .with_kind("identity-map")
+                .with_param("work_ns", 10_000.0),
+        );
+        b.add_edge(s, k, 1.0).unwrap();
+        let topo = b.build().unwrap();
+        let plain = crate::predict_vs_measure(&topo, None, &[], &[], 4_000, &sim()).unwrap();
+        let tcfg = TelemetryConfig::default().with_interval(Duration::from_millis(50));
+        let live =
+            predict_vs_measure_telemetry(&topo, 4_000, &sim(), &tcfg, DriftConfig::default())
+                .unwrap();
+        assert_eq!(
+            live.comparison.measured_throughput,
+            plain.measured_throughput
+        );
+        // Ingestion at 10k/s, not the 5k/s emission rate.
+        assert!(
+            (plain.measured_throughput - 10_000.0).abs() < 500.0,
+            "measured {}",
+            plain.measured_throughput
+        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! End-to-end tests of the observability layer: byte-deterministic span
 //! exports under the discrete-event executor, tracing on/off semantic
 //! equivalence on the wall-clock engine and the simulator, and the online re-profiler validated
-//! against the oracle's offline §4.1 profiler over seeded topologies.
+//! against the offline §4.1 profile of the same trace over seeded topologies.
 
 use spinstreams::analysis::{attribute, steady_state, AnnotationKind, Reprofiler};
 use spinstreams::codegen::{build_actor_graph, CodegenOptions};
 use spinstreams::core::{KeyDistribution, OperatorSpec, ServiceTime, Topology};
-use spinstreams::oracle::{
-    annotate, measure, run_scenario, sim_executor, OracleConfig, Tolerances,
-};
+use spinstreams::oracle::{measure, run_scenario, sim_executor, OracleConfig, Tolerances};
 use spinstreams::runtime::operators::{FnOperator, PassThrough};
 use spinstreams::runtime::{
     assemble_spans, execute, execute_with_telemetry, ActorGraph, Behavior, EngineConfig, Executor,
     Outputs, Route, SimConfig, SourceConfig, TelemetryConfig,
 };
-use spinstreams::tool::{observed_operators, operator_counters};
+use spinstreams::tool::observed_operators;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -192,11 +190,11 @@ fn rel(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The online re-profiler must agree with the oracle's offline §4.1
-/// profiler: over 20 oracle-seeded topologies, every annotation the
-/// online path estimates (from the final telemetry snapshot's cumulative
-/// counters) matches the value `oracle::annotate` computes from the same
-/// deterministic trace, within the oracle's tolerance bands. On clean
+/// The online re-profile must agree with the offline §4.1 profile: over 20
+/// oracle-seeded topologies, every annotation the one estimator derives
+/// from the final telemetry snapshot's cumulative counters matches the
+/// value it derives from the same deterministic trace's run report, within
+/// the oracle's tolerance bands. On clean
 /// (non-divergent) seeds the attribution engine's bottleneck naming is
 /// checked against Algorithm 1's — and against the measured ranking
 /// whenever the predicted margin is decisive.
@@ -219,11 +217,12 @@ fn online_reprofiler_matches_offline_profiler_on_oracle_seeds() {
         let (sc, report) = run_scenario(seed, &cfg, false);
         let exec = sim_executor(seed);
 
-        // Offline: the oracle's measure + annotate on the deterministic run.
+        // Offline: the run report's counters of the deterministic run.
         let meas = measure(&sc.topology, &sc.source_keys, &[], cfg.items, seed, &exec)
             .expect("offline measure");
-        let offline =
-            annotate(&sc.topology, &meas, None, tol.min_samples).expect("offline annotate");
+        let mut offline = Reprofiler::new(&sc.topology).with_min_samples(tol.min_samples);
+        offline.update(&meas.counters);
+        let offline = offline.annotated_topology().expect("offline annotate");
 
         // Online: same seed, same executor — the simulator's determinism
         // means the telemetry snapshot sees the *same* trace the offline
@@ -245,7 +244,7 @@ fn online_reprofiler_matches_offline_profiler_on_oracle_seeds() {
         let snap = telemetry.snapshots.last().expect("final snapshot");
 
         let mut rp = Reprofiler::new(&sc.topology).with_min_samples(tol.min_samples);
-        let estimates = rp.update(&operator_counters(&sc.topology, &plan, snap));
+        let estimates = rp.update(&plan.operator_counters(snap));
         for (slot, est) in estimates.iter().enumerate() {
             let Some(est) = *est else { continue };
             let id = rp.annotations()[slot];
@@ -276,11 +275,7 @@ fn online_reprofiler_matches_offline_profiler_on_oracle_seeds() {
         // margin, the measured ranking must name the same operator.
         if report.is_clean() {
             let steady = steady_state(&sc.topology);
-            let attr = attribute(
-                &sc.topology,
-                &steady,
-                &observed_operators(&sc.topology, &plan, snap),
-            );
+            let attr = attribute(&sc.topology, &steady, &observed_operators(&plan, snap));
             if !steady.bottlenecks.is_empty() {
                 assert!(
                     steady
@@ -298,11 +293,7 @@ fn online_reprofiler_matches_offline_profiler_on_oracle_seeds() {
             // trace-dependent, so only the profiled model's ranking is
             // expected to match the measured one.
             let steady_cal = steady_state(&offline);
-            let attr_cal = attribute(
-                &offline,
-                &steady_cal,
-                &observed_operators(&offline, &plan, snap),
-            );
+            let attr_cal = attribute(&offline, &steady_cal, &observed_operators(&plan, snap));
             let mut rhos: Vec<(spinstreams::core::OperatorId, f64)> = offline
                 .operator_ids()
                 .filter(|&id| id != offline.source())

@@ -12,9 +12,13 @@ pub struct CachedPlan {
     /// The cache key ([`spinstreams_codegen::plan_cache_key`] of the
     /// submitted topology + settings).
     pub key: u64,
-    /// The topology with profiled annotations folded in (identical to the
-    /// submission when calibration is disabled).
-    pub calibrated: Topology,
+    /// The topology a launch deploys: the profiled operator annotations
+    /// (identical to the submission when calibration is disabled) with the
+    /// submitted routing probabilities. The model behind `predicted`, the
+    /// replicas and the fusions reads the profiled routing split instead;
+    /// codegen realizes an edge probability as the routing policy, so the
+    /// split a calibration run sampled is never deployed.
+    pub deployed: Topology,
     /// Source key distribution used at deployment, if any.
     pub source_keys: Option<KeyDistribution>,
     /// Algorithm 2 replication degrees per operator.

@@ -3,7 +3,7 @@
 //! throughput (events/second of the DES engine), the per-tuple
 //! bookkeeping beside the kernels (source key sampling and count-window
 //! slides), the wall-clock source's emission rate, paced and unpaced, and
-//! the wall-clock engine on four graph shapes across pool sizes and batch
+//! the wall-clock engine on five graph shapes across pool sizes and batch
 //! sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -308,21 +308,41 @@ fn shape_replicated() -> (ActorGraph, ActorId) {
     (g, k)
 }
 
+/// src → six pass-through stages, the last one the sink: each tuple pays
+/// six operator calls and five mailbox hops, so the per-hop cost of
+/// invoking an operator (the supervised call, stamping, the delivery pass)
+/// dominates.
+fn shape_chain6() -> (ActorGraph, ActorId) {
+    let mut g = ActorGraph::new();
+    let mut prev = unpaced_source(&mut g);
+    for i in 0..6 {
+        let stage = g.add_actor(format!("p{i}"), Behavior::worker(PassThrough));
+        g.connect(prev, Route::Unicast(stage));
+        prev = stage;
+    }
+    (g, prev)
+}
+
 fn bench_engine(c: &mut Criterion) {
     // Mailbox hand-offs and pool scheduling on pass-through operators: the
     // costs that envelope batching amortizes and run-until-blocked
     // scheduling removes. tuples/s = ENGINE_TUPLES / (ns/iter) · 1e9.
-    let shapes: [(&str, Shape); 4] = [
-        ("engine_pipeline", shape_pipeline),
-        ("engine_fused", shape_fused),
-        ("engine_fanout", shape_fanout),
-        ("engine_replicated", shape_replicated),
+    // Each shape with the pool sizes and batch sizes it runs at. The
+    // six-stage chain is the per-hop rung: one pool worker, an unbatched
+    // and a full drain.
+    let ladder: (&[usize], &[usize]) = (&[1, 2], &[1, 8, 64]);
+    let shapes: [(&str, Shape, (&[usize], &[usize])); 5] = [
+        ("engine_pipeline", shape_pipeline, ladder),
+        ("engine_fused", shape_fused, ladder),
+        ("engine_fanout", shape_fanout, ladder),
+        ("engine_replicated", shape_replicated, ladder),
+        ("engine_chain6", shape_chain6, (&[1], &[1, 64])),
     ];
-    for (group, build) in shapes {
+    for (group, build, (pools, batches)) in shapes {
         let mut g = c.benchmark_group(group);
         g.sample_size(10);
-        for workers in [1usize, 2] {
-            for batch_size in [1usize, 8, 64] {
+        for &workers in pools {
+            for &batch_size in batches {
                 let cfg = EngineConfig {
                     executor: ExecutorKind::Pool { workers },
                     batch_size,

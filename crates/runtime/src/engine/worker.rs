@@ -56,9 +56,9 @@ pub(super) fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Runs `f` with panics caught and the panic hook silenced, charging the
 /// elapsed time to the actor's busy counter. Used for one-off calls (the
-/// terminal `flush`); the per-tuple hot path uses [`guarded_raw`] and
-/// batch-level timing instead — two `clock_gettime` calls per tuple cost
-/// more than a pass-through operator does.
+/// terminal `flush`); the data path uses [`guarded_raw`] and batch-level
+/// timing instead — two `clock_gettime` calls per tuple cost more than a
+/// pass-through operator does.
 fn guarded_call(metrics: &ActorMetrics, f: impl FnOnce()) -> Result<(), Box<dyn Any + Send>> {
     use std::sync::atomic::Ordering;
     let t0 = Instant::now();
@@ -71,7 +71,10 @@ fn guarded_call(metrics: &ActorMetrics, f: impl FnOnce()) -> Result<(), Box<dyn 
 
 /// Runs `f` with panics caught and the panic hook silenced — no timing.
 /// Callers account elapsed time at batch granularity (see
-/// [`WorkerTask::process_batch`]).
+/// [`WorkerTask::process_batch`]). On the data path `f` is a whole run of
+/// drained tuples ([`WorkerTask::invoke`]): `StreamOperator::process` is
+/// still called once per item, but the `catch_unwind` and the two
+/// thread-local writes are paid once per run.
 fn guarded_raw(f: impl FnOnce()) -> Result<(), Box<dyn Any + Send>> {
     SILENCE_PANICS.with(|s| s.set(true));
     let result = catch_unwind(AssertUnwindSafe(f));
@@ -110,6 +113,15 @@ pub(super) struct WorkerTask {
     pub(super) poll_budget: usize,
 }
 
+/// A panic inside a supervised run ([`WorkerTask::invoke`]): the index in
+/// the run of the item whose `process` call panicked, that item, and the
+/// panic payload.
+struct RunPanic {
+    at: usize,
+    item: Tuple,
+    payload: Box<dyn Any + Send>,
+}
+
 /// Per-actor epoch-alignment and recovery state (checkpointing on).
 pub(super) struct CkptState {
     /// Markers received for the epoch currently aligning.
@@ -140,11 +152,12 @@ pub(super) struct CkptState {
 
 impl WorkerTask {
     /// Processes every envelope currently in `self.inbox` under the
-    /// actor's [`SupervisorSpec`] (operator invocations run inside
-    /// `catch_unwind`). Returns true once the final EOS marker is seen.
+    /// actor's [`SupervisorSpec`]. Each run of consecutive data envelopes
+    /// is one supervised call ([`WorkerTask::handle_run`]); epoch, handoff
+    /// and EOS envelopes end a run and are handled on their own. Returns
+    /// true once the final EOS marker is seen.
     fn process_inbox(&mut self) -> bool {
         use std::sync::atomic::Ordering;
-        let mut finished = false;
         let mut inbox = std::mem::take(&mut self.inbox);
         // Count arrivals once per drained batch. The loop below only stops
         // early at the *final* EOS marker, and FIFO order plus EOS-last per
@@ -188,35 +201,42 @@ impl WorkerTask {
                 .items_in
                 .fetch_add(arrived, Ordering::Relaxed);
         }
-        for env in inbox.drain(..) {
-            if self.handle_env(env) {
-                // FIFO per mailbox and EOS-last per upstream guarantee no
-                // data follows the final marker.
-                finished = true;
-                break;
-            }
-        }
-        // Hand the (drained) inbox back so its allocation is reused.
+        let finished = self.handle_envs(&inbox);
+        // Hand the (handled) inbox back so its allocation is reused.
+        inbox.clear();
         self.inbox = inbox;
         finished
     }
 
-    /// Handles one envelope: barrier alignment for epoch markers, the
-    /// supervised operator invocation for data. Returns true once the
-    /// final EOS marker is seen.
+    /// Handles `envs` in order: each run of consecutive data envelopes in
+    /// one supervised call, every other envelope on its own. Returns true
+    /// once the final EOS marker is seen; FIFO per mailbox and EOS-last per
+    /// upstream guarantee no data follows it.
+    fn handle_envs(&mut self, envs: &[Envelope]) -> bool {
+        let both_data =
+            |a: &Envelope, b: &Envelope| matches!((a, b), (Envelope::Data(_), Envelope::Data(_)));
+        for group in envs.chunk_by(both_data) {
+            let finished = match group {
+                [Envelope::Data(_), ..] => {
+                    self.handle_run(group);
+                    false
+                }
+                _ => self.handle_env(group[0]),
+            };
+            if finished {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Handles one envelope: barrier alignment for epoch markers, a
+    /// one-item run for data. Returns true once the final EOS marker is
+    /// seen.
     fn handle_env(&mut self, env: Envelope) -> bool {
         match env {
-            Envelope::Data(item) => {
-                if let Some(ckpt) = self.ckpt.as_deref_mut() {
-                    if ckpt.aligning != 0 {
-                        // Mid-alignment: the merged fan-in mailbox cannot
-                        // attribute data to a channel, so everything after
-                        // the first marker waits behind the barrier.
-                        ckpt.align_buf.push(Envelope::Data(item));
-                        return false;
-                    }
-                }
-                self.handle_data(item);
+            Envelope::Data(_) => {
+                self.handle_run(&[env]);
                 false
             }
             Envelope::Epoch(e) => {
@@ -276,46 +296,114 @@ impl WorkerTask {
         }
     }
 
-    /// Processes one data item under supervision. With checkpointing on,
-    /// the item is logged to the replay buffer *before* the operator runs,
-    /// so a panic leaves the poisoned item as the log's last entry.
-    fn handle_data(&mut self, item: Tuple) {
-        if self.stopped {
-            match self.supervision.degrade {
-                DegradePolicy::Forward => {
-                    self.out.emit_default(item);
-                    self.deliver_outputs();
+    /// Processes a run of data envelopes under supervision: the data
+    /// path's unit of invocation. The run goes through one supervised call
+    /// ([`WorkerTask::invoke`]); a panic is charged to the one item in
+    /// flight ([`WorkerTask::handle_panic`]), and the run resumes after it
+    /// under whatever state supervision left — a restarted operator, or a
+    /// stopped actor that forwards or drops the rest. A run that arrives
+    /// mid-alignment waits behind the barrier whole.
+    fn handle_run(&mut self, run: &[Envelope]) {
+        if let Some(ckpt) = self.ckpt.as_deref_mut() {
+            if ckpt.aligning != 0 {
+                // Mid-alignment: the merged fan-in mailbox cannot
+                // attribute data to a channel, so everything after the
+                // first marker waits behind the barrier.
+                ckpt.align_buf.extend_from_slice(run);
+                return;
+            }
+        }
+        let mut next = 0;
+        while next < run.len() {
+            if self.stopped {
+                self.degrade(&run[next..]);
+                return;
+            }
+            match self.invoke(&run[next..]) {
+                Ok(()) => return,
+                Err(p) => {
+                    self.handle_panic(p.item, p.payload);
+                    next += p.at + 1;
                 }
+            }
+        }
+    }
+
+    /// Calls `op.process` on each item of `run` inside one [`guarded_raw`]
+    /// call. With checkpointing on, each item is logged to the replay
+    /// buffer *before* its own call, so a panic leaves the poisoned item as
+    /// the log's last entry. Each item's outputs inherit its stamp. After
+    /// the guarded call, the outputs of every item that completed are
+    /// delivered in one pass — outside `catch_unwind`, so delivery and the
+    /// helping a blocked send does never run under the guard. On a panic
+    /// the in-flight item's partial output is discarded (the item either
+    /// fully processes or dead-letters), the items after it are left
+    /// unprocessed, and the item is returned with its index in `run`.
+    fn invoke(&mut self, run: &[Envelope]) -> Result<(), RunPanic> {
+        // Both live outside the closure so the unwind leaves them
+        // pointing at the item in flight and the start of its outputs.
+        let mut at = 0;
+        let mut mark = self.out.len();
+        let op = &mut self.op;
+        let out = &mut self.out;
+        let mut ckpt = self.ckpt.as_deref_mut();
+        let result = guarded_raw(|| {
+            for (i, env) in run.iter().enumerate() {
+                let Envelope::Data(item) = *env else {
+                    continue;
+                };
+                at = i;
+                mark = out.len();
+                if let Some(ckpt) = ckpt.as_deref_mut() {
+                    ckpt.replay.push(ckpt.completed + 1, item);
+                }
+                op.process(item, out);
+                out.inherit_stamp(mark, item.src_ns);
+            }
+        });
+        match result {
+            Ok(()) => {
+                self.deliver_outputs();
+                Ok(())
+            }
+            Err(payload) => {
+                self.out.truncate(mark);
+                self.deliver_outputs();
+                let Envelope::Data(item) = run[at] else {
+                    unreachable!("only data envelopes reach an operator call")
+                };
+                Err(RunPanic { at, item, payload })
+            }
+        }
+    }
+
+    /// Degraded mode: the actor is stopped, so `run`'s items are forwarded
+    /// unprocessed or dead-lettered, as its [`DegradePolicy`] says.
+    fn degrade(&mut self, run: &[Envelope]) {
+        for env in run {
+            let Envelope::Data(item) = *env else {
+                continue;
+            };
+            match self.supervision.degrade {
+                DegradePolicy::Forward => self.out.emit_default(item),
                 DegradePolicy::Drop => {
                     self.ctx
                         .dead_letter(None, DeadLetterReason::StoppedActor, &item);
                 }
             }
-            return;
         }
-        if let Some(ckpt) = self.ckpt.as_deref_mut() {
-            ckpt.replay.push(ckpt.completed + 1, item);
-        }
-        let op = &mut self.op;
-        let out = &mut self.out;
-        match guarded_raw(|| op.process(item, out)) {
-            Ok(()) => {
-                self.out.inherit_stamp(item.src_ns);
-                self.deliver_outputs();
-            }
-            Err(payload) => self.handle_panic(item, payload),
-        }
+        self.deliver_outputs();
     }
 
-    /// The supervision path for a panicking `process` invocation.
+    /// The supervision path for the one item whose `process` call
+    /// panicked inside a run. [`WorkerTask::invoke`] has already discarded
+    /// that call's partial output and delivered what the run's earlier
+    /// items emitted.
     fn handle_panic(&mut self, item: Tuple, payload: Box<dyn Any + Send>) {
         use std::sync::atomic::Ordering;
-        // The poisoned invocation may have emitted partial output before
-        // dying; discard it — the item either fully processes or
-        // dead-letters. Output coalesced from *earlier* items is sound:
-        // flush it before any backoff sleep so downstream is not starved
-        // while this actor recovers.
-        self.out.clear();
+        // Output coalesced from earlier items is sound: flush it before
+        // any backoff sleep so downstream is not starved while this actor
+        // recovers.
         self.ctx.flush_all();
         self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
         self.ctx.trace_event(TraceEventKind::OperatorPanicked);
@@ -339,16 +427,20 @@ impl WorkerTask {
 
     /// Stateful recovery after a restart: restores the last snapshot,
     /// replays the logged input with outputs suppressed (they were already
-    /// delivered), then retries the failed `item` live — its output was
-    /// never delivered. Returns false when `item` must dead-letter: with no
-    /// checkpoint layer or an overflowed replay buffer (the pre-checkpoint
-    /// semantics — the operator restarts empty), or when the retry panics
-    /// again (dropped like `Resume` instead of looping forever).
+    /// delivered), then retries the failed `item` live, as a one-item run
+    /// ([`WorkerTask::invoke`]) — its output was never delivered. Returns
+    /// false when `item` must dead-letter: with no checkpoint layer or an
+    /// overflowed replay buffer (the pre-checkpoint semantics — the
+    /// operator restarts empty), or when the retry panics again (dropped
+    /// like `Resume` instead of looping forever).
     fn recover_and_retry(&mut self, item: Tuple) -> bool {
         use std::sync::atomic::Ordering;
         let recovered = match self.ckpt.take() {
             Some(mut ckpt) => {
-                let ok = self.recover(&mut ckpt, true);
+                // The poisoned item is the log's last entry: replay what
+                // precedes it; the retry logs it again.
+                ckpt.replay.pop_last();
+                let ok = self.recover(&mut ckpt);
                 self.ckpt = Some(ckpt);
                 ok
             }
@@ -357,14 +449,9 @@ impl WorkerTask {
         if !recovered {
             return false;
         }
-        let op = &mut self.op;
-        let out = &mut self.out;
-        if guarded_raw(|| op.process(item, out)).is_ok() {
-            self.out.inherit_stamp(item.src_ns);
-            self.deliver_outputs();
+        if self.invoke(&[Envelope::Data(item)]).is_ok() {
             return true;
         }
-        self.out.clear();
         self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
         self.ctx.trace_event(TraceEventKind::OperatorPanicked);
         if let Some(ckpt) = self.ckpt.as_deref_mut() {
@@ -416,11 +503,10 @@ impl WorkerTask {
 
     /// Restores the freshly rebuilt operator from its last local snapshot
     /// and replays the logged post-snapshot input with outputs suppressed.
-    /// With `skip_last` the log's final entry (the poisoned item, pushed
-    /// just before its panic) is left to the caller to retry live. Returns
-    /// false when the replay buffer overflowed since the last snapshot —
-    /// recovery then degrades to the plain reset the caller already did.
-    fn recover(&mut self, ckpt: &mut CkptState, skip_last: bool) -> bool {
+    /// Returns false when the replay buffer overflowed since the last
+    /// snapshot — recovery then degrades to the plain reset the caller
+    /// already did.
+    fn recover(&mut self, ckpt: &mut CkptState) -> bool {
         use std::sync::atomic::Ordering;
         if !ckpt.replay.is_valid() {
             return false;
@@ -463,8 +549,8 @@ impl WorkerTask {
                 }
             }
         }
-        let n = ckpt.replay.len().saturating_sub(skip_last as usize);
-        for (_, tuple) in &ckpt.replay.entries()[..n] {
+        let n = ckpt.replay.len();
+        for (_, tuple) in ckpt.replay.entries() {
             let tuple = *tuple;
             let op = &mut self.op;
             let out = &mut self.out;
@@ -541,11 +627,9 @@ impl WorkerTask {
         self.apply_reconfig(epoch);
         let buffered = std::mem::take(&mut ckpt.align_buf);
         self.ckpt = Some(ckpt);
-        for env in buffered {
-            // Only Data, Handoff tokens and deferred Epoch markers are
-            // ever buffered, so no termination signal can hide in here.
-            let _ = self.handle_env(env);
-        }
+        // Only Data, Handoff tokens and deferred Epoch markers are ever
+        // buffered, so no termination signal can hide in here.
+        let _ = self.handle_envs(&buffered);
     }
 
     /// Captures the operator snapshot for `epoch`, routing a panicking
@@ -570,7 +654,7 @@ impl WorkerTask {
                 // No in-flight item here: replay everything since the
                 // previous snapshot, then retry the capture once
                 // (deterministic faults are fire-once).
-                let _ = self.recover(ckpt, false);
+                let _ = self.recover(ckpt);
                 let op = &mut self.op;
                 let slot = &mut captured;
                 let _ = guarded_raw(|| *slot = Some(op.snapshot()));
@@ -962,6 +1046,7 @@ mod tests {
     use crate::engine::*;
     use crate::operators::{PassThrough, Spin};
     use crate::{Behavior, Route, SourceConfig};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn eos_waits_for_all_upstreams() {
@@ -1032,6 +1117,25 @@ mod tests {
         }
     }
 
+    /// A sink that records every tuple it receives, in arrival order.
+    struct Record(Arc<Mutex<Vec<Tuple>>>);
+    impl crate::StreamOperator for Record {
+        fn process(&mut self, item: Tuple, _out: &mut Outputs) {
+            self.0.lock().unwrap().push(item);
+        }
+    }
+
+    /// Adds a [`Record`] sink to `g`, returning its id and its log.
+    fn record_sink(g: &mut ActorGraph) -> (ActorId, Arc<Mutex<Vec<Tuple>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let k = g.add_actor("sink", Behavior::Worker(Box::new(Record(log.clone()))));
+        (k, log)
+    }
+
+    fn seqs(log: &Mutex<Vec<Tuple>>) -> Vec<u64> {
+        log.lock().unwrap().iter().map(|t| t.seq).collect()
+    }
+
     #[test]
     fn resume_drops_only_poisoned_items() {
         use crate::supervision::SupervisorSpec;
@@ -1044,7 +1148,7 @@ mod tests {
             "flaky",
             Behavior::Worker(Box::new(PanicEvery { every: 10 })),
         );
-        let k = g.add_actor("sink", Behavior::worker(PassThrough));
+        let (k, log) = record_sink(&mut g);
         g.connect(s, Route::Unicast(w));
         g.connect(w, Route::Unicast(k));
         g.set_supervision(w, SupervisorSpec::resume());
@@ -1060,6 +1164,8 @@ mod tests {
             10
         );
         assert!(r.dead_letters.entries().iter().all(|l| l.source == w));
+        let expected: Vec<u64> = (0..100).filter(|q| q % 10 != 0).collect();
+        assert_eq!(seqs(&log), expected);
     }
 
     #[test]
@@ -1564,5 +1670,202 @@ mod tests {
             })
             .collect();
         assert_eq!(recovered, vec![(w, 1, 49)]);
+    }
+
+    /// Seqs that land first, mid-run and last in a 64-envelope drain of a
+    /// source that sends full batches (0, 64, 100, 127, 191, 255), plus
+    /// two back-to-back panics in one run (0, 1) and another mid-run one.
+    const POISONED: [u64; 9] = [0, 1, 37, 63, 64, 100, 127, 191, 255];
+
+    /// The batch sizes and pool widths the drained-batch panic tests run.
+    fn batch_panic_cfgs() -> Vec<(String, EngineConfig)> {
+        let mut cfgs = Vec::new();
+        for batch in [1, 64] {
+            for workers in [1, 2] {
+                cfgs.push((
+                    format!("pool-{workers}/batch-{batch}"),
+                    EngineConfig {
+                        batch_size: batch,
+                        ..pool_cfg(workers)
+                    },
+                ));
+            }
+        }
+        cfgs
+    }
+
+    /// Emits each item tagged (`values[0] = 1.0`); panics on the seqs in
+    /// `poisoned` *after* emitting, so every poisoned call leaves partial
+    /// output behind.
+    struct TagOrPanic {
+        poisoned: &'static [u64],
+    }
+    impl crate::StreamOperator for TagOrPanic {
+        fn process(&mut self, item: Tuple, out: &mut Outputs) {
+            let mut tagged = item;
+            tagged.values[0] = 1.0;
+            out.emit_default(tagged);
+            if self.poisoned.contains(&item.seq) {
+                panic!("injected: seq {}", item.seq);
+            }
+        }
+    }
+
+    fn tag_or_panic_pipeline(
+        spec: SupervisorSpec,
+        items: u64,
+        poisoned: &'static [u64],
+    ) -> (ActorGraph, ActorId, Arc<Mutex<Vec<Tuple>>>) {
+        let mut g = ActorGraph::new();
+        let s = g.add_actor(
+            "src",
+            Behavior::Source(SourceConfig::new(f64::INFINITY, items)),
+        );
+        let w = g.add_actor("flaky", Behavior::Worker(Box::new(TagOrPanic { poisoned })));
+        let (k, log) = record_sink(&mut g);
+        g.connect(s, Route::Unicast(w));
+        g.connect(w, Route::Unicast(k));
+        g.set_supervision(w, spec);
+        (g, w, log)
+    }
+
+    #[test]
+    fn resume_inside_a_drained_batch_drops_exactly_the_poisoned_items() {
+        for (label, cfg) in batch_panic_cfgs() {
+            let (g, w, log) = tag_or_panic_pipeline(SupervisorSpec::resume(), 320, &POISONED);
+            let r = run(g, &cfg).unwrap();
+            assert_eq!(r.actor(w).panics, POISONED.len() as u64, "{label}");
+            // Every item after a panic, in the same run or a later one, is
+            // processed; none of a poisoned call's partial output leaks.
+            let expected: Vec<u64> = (0..320).filter(|q| !POISONED.contains(q)).collect();
+            assert_eq!(seqs(&log), expected, "{label}");
+            assert!(log.lock().unwrap().iter().all(|t| t.values[0] == 1.0));
+            let dead: Vec<u64> = r.dead_letters.entries().iter().map(|l| l.seq).collect();
+            assert_eq!(dead, POISONED, "{label}");
+            assert!(r
+                .dead_letters
+                .entries()
+                .iter()
+                .all(|l| l.reason == DeadLetterReason::OperatorPanic));
+        }
+    }
+
+    #[test]
+    fn stop_inside_a_drained_batch_forwards_the_rest_unprocessed() {
+        use crate::supervision::DegradePolicy;
+        // The first panic (seq 37) stops the actor: the rest of its run and
+        // every later run pass through untagged, so later poisoned seqs
+        // never reach the operator.
+        for (label, cfg) in batch_panic_cfgs() {
+            let spec = SupervisorSpec::default().with_degrade(DegradePolicy::Forward);
+            let (g, w, log) = tag_or_panic_pipeline(spec, 320, &POISONED[2..]);
+            let r = run(g, &cfg).unwrap();
+            assert_eq!(r.actor(w).panics, 1, "{label}");
+            let got = log.lock().unwrap().clone();
+            let expected: Vec<u64> = (0..320).filter(|&q| q != 37).collect();
+            assert_eq!(got.iter().map(|t| t.seq).collect::<Vec<_>>(), expected);
+            for t in &got {
+                let tagged = t.values[0] == 1.0;
+                assert_eq!(tagged, t.seq < 37, "{label}: seq {}", t.seq);
+            }
+            let dead: Vec<u64> = r.dead_letters.entries().iter().map(|l| l.seq).collect();
+            assert_eq!(dead, vec![37], "{label}");
+        }
+    }
+
+    /// Running sums over five keys (`seq % 5`): emits `(key, sum)` per item
+    /// and each key's final sum at flush. Panics once per poisoned seq,
+    /// after emitting; `fired` outlives restarts, so the retry succeeds.
+    struct KeyedSums {
+        sums: [u64; 5],
+        poisoned: &'static [u64],
+        fired: Arc<Mutex<Vec<u64>>>,
+    }
+    impl crate::StreamOperator for KeyedSums {
+        fn process(&mut self, item: Tuple, out: &mut Outputs) {
+            let key = (item.seq % 5) as usize;
+            self.sums[key] += item.seq;
+            out.emit_default(Tuple::splat(key as u64, item.seq, self.sums[key] as f64));
+            if self.poisoned.contains(&item.seq) {
+                let mut fired = self.fired.lock().unwrap();
+                if !fired.contains(&item.seq) {
+                    fired.push(item.seq);
+                    drop(fired);
+                    panic!("injected: seq {}", item.seq);
+                }
+            }
+        }
+        fn flush(&mut self, out: &mut Outputs) {
+            for (key, sum) in self.sums.iter().enumerate() {
+                out.emit_default(Tuple::splat(key as u64, u64::MAX, *sum as f64));
+            }
+        }
+        fn reset(&mut self) {
+            self.sums = [0; 5];
+        }
+        fn snapshot(&mut self) -> Option<crate::checkpoint::StateSnapshot> {
+            let mut s = crate::checkpoint::StateSnapshot::new();
+            for sum in self.sums {
+                s.push_u64(sum);
+            }
+            Some(s)
+        }
+        fn restore(&mut self, snapshot: &crate::checkpoint::StateSnapshot) -> bool {
+            let mut r = snapshot.reader();
+            for sum in self.sums.iter_mut() {
+                match r.read_u64() {
+                    Some(v) => *sum = v,
+                    None => return false,
+                }
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn restart_inside_a_drained_batch_matches_the_fault_free_run() {
+        use crate::supervision::{Backoff, OperatorFactory};
+        let sink_log = |cfg: &EngineConfig, poisoned: &'static [u64]| {
+            let fired = Arc::new(Mutex::new(Vec::new()));
+            let make = {
+                let fired = fired.clone();
+                move || KeyedSums {
+                    sums: [0; 5],
+                    poisoned,
+                    fired: fired.clone(),
+                }
+            };
+            let mut g = ActorGraph::new();
+            let s = g.add_actor(
+                "src",
+                Behavior::Source(SourceConfig::new(f64::INFINITY, 320)),
+            );
+            let w = g.add_actor("sums", Behavior::Worker(Box::new(make())));
+            let (k, log) = record_sink(&mut g);
+            g.connect(s, Route::Unicast(w));
+            g.connect(w, Route::Unicast(k));
+            g.set_supervision(w, SupervisorSpec::restart(100, Backoff::none()));
+            g.set_restart_factory(w, OperatorFactory::new(move || Box::new(make())));
+            let r = run(g, cfg).unwrap();
+            let got = log.lock().unwrap().clone();
+            (r, w, got)
+        };
+        for (label, cfg) in batch_panic_cfgs() {
+            let cfg = EngineConfig {
+                checkpoint_interval: Some(100),
+                ..cfg
+            };
+            let (_, _, clean) = sink_log(&cfg, &[]);
+            assert_eq!(clean.len(), 320 + 5, "{label}");
+            let (r, w, faulted) = sink_log(&cfg, &POISONED);
+            let a = r.actor(w);
+            assert_eq!(a.panics, POISONED.len() as u64, "{label}");
+            assert_eq!(a.restarts, POISONED.len() as u64, "{label}");
+            assert_eq!(a.recoveries, POISONED.len() as u64, "{label}");
+            assert_eq!(r.dead_letters.total(), 0, "{label}");
+            // Per-item outputs and the final keyed state (the flushed
+            // sums) are the fault-free run's, tuple for tuple.
+            assert_eq!(faulted, clean, "{label}");
+        }
     }
 }

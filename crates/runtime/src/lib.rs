@@ -45,8 +45,10 @@
 //! # Fault tolerance
 //!
 //! Worker actors are *supervised*, Akka-style. The threaded engine wraps
-//! every operator invocation in `catch_unwind`; a panicking operator never
-//! takes its actor thread — let alone the process — down. The actor's
+//! each run of data envelopes a worker drains in one `catch_unwind`, with
+//! one [`StreamOperator::process`] call per item inside it; a panicking
+//! operator never takes its actor thread — let alone the process — down.
+//! The panic is charged to the one item in flight, and the actor's
 //! [`SupervisorSpec`] decides what happens next:
 //!
 //! * [`SupervisionPolicy::Resume`] — drop the poisoned item, keep state;

@@ -67,17 +67,26 @@ impl Outputs {
         &mut self.items
     }
 
-    /// Propagates a source timestamp onto any buffered item the operator
-    /// constructed from scratch (i.e. still unstamped). Called by the
-    /// executors after each `process` invocation so end-to-end latency
-    /// survives operators that build fresh tuples (aggregates,
-    /// projections) instead of forwarding copies of their input. A no-op
-    /// when the input itself was unstamped (`src_ns == 0`).
-    pub fn inherit_stamp(&mut self, src_ns: u64) {
+    /// Drops every buffered item from index `len` on: a panicking
+    /// invocation's partial output, keeping what earlier invocations of
+    /// the same batch emitted.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.items.truncate(len);
+    }
+
+    /// Propagates a source timestamp onto any item buffered from index
+    /// `from` on that the operator constructed from scratch (i.e. still
+    /// unstamped). Called by the executors after each `process`
+    /// invocation, with `from` the buffer length before it, so end-to-end
+    /// latency survives operators that build fresh tuples (aggregates,
+    /// projections) instead of forwarding copies of their input, and each
+    /// input's stamp reaches only its own outputs. A no-op when the input
+    /// itself was unstamped (`src_ns == 0`).
+    pub fn inherit_stamp(&mut self, from: usize, src_ns: u64) {
         if src_ns == 0 {
             return;
         }
-        for (_, item) in self.items.iter_mut() {
+        for (_, item) in self.items[from..].iter_mut() {
             if item.src_ns == 0 {
                 item.src_ns = src_ns;
             }
@@ -93,6 +102,13 @@ impl Outputs {
 /// guarantee (§4.2).
 pub trait StreamOperator: Send {
     /// Processes one input item, emitting any number of outputs.
+    ///
+    /// Called once per item. The wall-clock engine makes these calls
+    /// inside one supervised call per run of data envelopes drained from
+    /// the actor's mailbox, so `out` may already hold the outputs of
+    /// earlier items of the run: append to it, never read or clear it. A
+    /// panic is still charged to the item whose call panicked; only that
+    /// call's partial output is discarded.
     fn process(&mut self, item: Tuple, out: &mut Outputs);
 
     /// Called once at end-of-stream, after the last `process`; operators
@@ -215,13 +231,18 @@ mod tests {
         let mut out = Outputs::new();
         out.emit_default(Tuple::default()); // fresh, unstamped
         out.emit_default(Tuple::default().stamped(7)); // forwarded copy
-        out.inherit_stamp(42);
+        out.inherit_stamp(0, 42);
         assert_eq!(out.items()[0].1.src_ns, 42);
         assert_eq!(out.items()[1].1.src_ns, 7);
+        // Ranged: a later input's stamp reaches only its own outputs.
+        out.emit_default(Tuple::default());
+        out.inherit_stamp(2, 99);
+        assert_eq!(out.items()[0].1.src_ns, 42);
+        assert_eq!(out.items()[2].1.src_ns, 99);
         // Unstamped input: nothing to propagate.
         let mut out = Outputs::new();
         out.emit_default(Tuple::default());
-        out.inherit_stamp(0);
+        out.inherit_stamp(0, 0);
         assert_eq!(out.items()[0].1.src_ns, 0);
     }
 

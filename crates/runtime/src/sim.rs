@@ -264,7 +264,7 @@ impl Sim {
         }
         let intrinsic = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         let virt = crate::operators::take_virtual_work_ns();
-        out.inherit_stamp(src_ns);
+        out.inherit_stamp(0, src_ns);
         intrinsic + virt
     }
 

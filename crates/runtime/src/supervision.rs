@@ -1,8 +1,10 @@
 //! Actor supervision: restart policies, degraded mode, dead letters.
 //!
 //! The threaded executor wraps every operator invocation in
-//! `catch_unwind`, so a panicking operator never takes its actor thread
-//! (let alone the whole process) down. What happens next is decided by the
+//! `catch_unwind` — one guard per drained run of data envelopes, one
+//! `process` call per item inside it — so a panicking operator never takes
+//! its actor thread (let alone the whole process) down. The panic is
+//! charged to the item in flight, and what happens next is decided by the
 //! actor's [`SupervisionPolicy`], mirroring Akka's supervision directives
 //! (the paper's reference substrate, §4.2):
 //!

@@ -154,11 +154,11 @@ impl ActorCounters for RunReport {
 
 impl ActorCounters for TelemetrySnapshot {
     fn actor_counters(&self, actor: ActorId) -> OperatorCounters {
-        let a = &self.actors[actor.0];
+        let c = &self.actors[actor.0].counters;
         OperatorCounters {
-            items_in: a.items_in,
-            items_out: a.items_out,
-            busy_ns: Some(a.busy_ns),
+            items_in: c.items_in,
+            items_out: c.items_out,
+            busy_ns: Some(c.busy_ns),
         }
     }
 }

@@ -600,7 +600,7 @@ pub(super) fn run_graphs(
     let mut out = Vec::with_capacity(preps.len());
     for (t, prep) in preps.iter().enumerate() {
         let reports = (0..prep.n)
-            .map(|i| prep.metrics[i].snapshot(&names[t][i], ActorId(i)))
+            .map(|i| prep.metrics[i].report(&names[t][i], ActorId(i)))
             .collect();
         // A tenant's wall is its own first-to-last-actor span; the solo
         // case keeps the classic whole-run elapsed time (identical here,
@@ -638,12 +638,9 @@ fn gather_raw(metrics: &[Arc<ActorMetrics>], probes: &[Option<DepthProbe>]) -> V
     metrics
         .iter()
         .zip(probes)
-        .map(|(m, p)| {
-            RawCounters::from_metrics(
-                m,
-                p.as_ref().map(DepthProbe::len),
-                p.as_ref().map(DepthProbe::stalled_ns).unwrap_or(0),
-            )
+        .map(|(m, p)| RawCounters {
+            counters: m.counters(p.as_ref().map(DepthProbe::stalled_ns).unwrap_or(0)),
+            queue_depth: p.as_ref().map(DepthProbe::len),
         })
         .collect()
 }

@@ -4,7 +4,7 @@
 use super::pool::{run_one_ready, PoolShared};
 use crate::checkpoint::CheckpointCoordinator;
 use crate::mailbox::{BatchFailure, BatchPool, Envelope, Sender};
-use crate::metrics::ActorMetrics;
+use crate::metrics::{ActorMetrics, Counter};
 use crate::operator::Outputs;
 use crate::rng::XorShift64;
 use crate::route::RouteState;
@@ -152,7 +152,7 @@ impl DeliveryCtx {
         message: Option<String>,
     ) {
         use std::sync::atomic::Ordering;
-        self.metrics.dead_letters.fetch_add(1, Ordering::Relaxed);
+        self.metrics[Counter::DeadLetters].fetch_add(1, Ordering::Relaxed);
         self.trace_event(TraceEventKind::DeadLetter { reason });
         self.dead_letters.push(DeadLetter {
             source: self.id,
@@ -234,7 +234,7 @@ impl DeliveryCtx {
         });
         if outcome.blocked > Duration::ZERO {
             let ns = outcome.blocked.as_nanos() as u64;
-            self.metrics.blocked_ns.fetch_add(ns, Ordering::Relaxed);
+            self.metrics[Counter::BlockedNs].fetch_add(ns, Ordering::Relaxed);
             // Charge the stall to the *receiving* mailbox as well: the
             // receiver-edge view ("how long did producers stall on my
             // inbox") is what the bottleneck attribution joins against.
@@ -252,7 +252,7 @@ impl DeliveryCtx {
             };
             for env in buf.drain(..) {
                 if let Envelope::Data(tuple) = env {
-                    self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
+                    self.metrics[Counter::Dropped].fetch_add(1, Ordering::Relaxed);
                     self.dead_letter(Some(ActorId(dest)), reason, &tuple);
                 }
             }

@@ -5,7 +5,7 @@ use super::delivery::DeliveryCtx;
 use super::pool::run_one_ready;
 use crate::checkpoint::{ReplayBuffer, StateSnapshot};
 use crate::mailbox::{Drained, Envelope};
-use crate::metrics::ActorMetrics;
+use crate::metrics::{ActorMetrics, Counter};
 use crate::operator::Outputs;
 use crate::reconfig::{ReconfigOp, ReconfigTaskState};
 use crate::route::RouteState;
@@ -63,9 +63,7 @@ fn guarded_call(metrics: &ActorMetrics, f: impl FnOnce()) -> Result<(), Box<dyn 
     use std::sync::atomic::Ordering;
     let t0 = Instant::now();
     let result = guarded_raw(f);
-    metrics
-        .busy_ns
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    metrics[Counter::BusyNs].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     result
 }
 
@@ -196,10 +194,7 @@ impl WorkerTask {
                 .count() as u64,
         };
         if arrived > 0 {
-            self.ctx
-                .metrics
-                .items_in
-                .fetch_add(arrived, Ordering::Relaxed);
+            self.ctx.metrics[Counter::ItemsIn].fetch_add(arrived, Ordering::Relaxed);
         }
         let finished = self.handle_envs(&inbox);
         // Hand the (handled) inbox back so its allocation is reused.
@@ -405,7 +400,7 @@ impl WorkerTask {
         // any backoff sleep so downstream is not starved while this actor
         // recovers.
         self.ctx.flush_all();
-        self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        self.ctx.metrics[Counter::Panics].fetch_add(1, Ordering::Relaxed);
         self.ctx.trace_event(TraceEventKind::OperatorPanicked);
         let message = panic_message(payload.as_ref());
         let handled = match self.supervision.policy {
@@ -452,7 +447,7 @@ impl WorkerTask {
         if self.invoke(&[Envelope::Data(item)]).is_ok() {
             return true;
         }
-        self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        self.ctx.metrics[Counter::Panics].fetch_add(1, Ordering::Relaxed);
         self.ctx.trace_event(TraceEventKind::OperatorPanicked);
         if let Some(ckpt) = self.ckpt.as_deref_mut() {
             ckpt.replay.pop_last();
@@ -480,7 +475,7 @@ impl WorkerTask {
             Some(f) => self.op = f.build(),
             None => self.op.reset(),
         }
-        self.ctx.metrics.restarts.fetch_add(1, Ordering::Relaxed);
+        self.ctx.metrics[Counter::Restarts].fetch_add(1, Ordering::Relaxed);
         self.ctx.trace_event(TraceEventKind::OperatorRestarted);
         true
     }
@@ -574,11 +569,8 @@ impl WorkerTask {
                 });
             }
         }
-        self.ctx.metrics.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.ctx
-            .metrics
-            .replayed
-            .fetch_add(n as u64, Ordering::Relaxed);
+        self.ctx.metrics[Counter::Recoveries].fetch_add(1, Ordering::Relaxed);
+        self.ctx.metrics[Counter::Replayed].fetch_add(n as u64, Ordering::Relaxed);
         self.ctx
             .metrics
             .restored_epoch
@@ -603,9 +595,7 @@ impl WorkerTask {
         ckpt.markers_seen = 0;
         ckpt.completed = epoch;
         if let Some(t0) = ckpt.align_started.take() {
-            self.ctx
-                .metrics
-                .align_stall_ns
+            self.ctx.metrics[Counter::AlignStallNs]
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         if !self.stopped {
@@ -644,7 +634,7 @@ impl WorkerTask {
             guarded_raw(|| *slot = Some(op.snapshot())).is_ok()
         };
         if !ok {
-            self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
+            self.ctx.metrics[Counter::Panics].fetch_add(1, Ordering::Relaxed);
             self.ctx.trace_event(TraceEventKind::OperatorPanicked);
             // Resume: state is intact as far as we know; keep the previous
             // snapshot and skip this epoch's capture.
@@ -683,11 +673,8 @@ impl WorkerTask {
             // Everything at or before this barrier is in the snapshot; an
             // overflowed buffer re-arms here, consistent again.
             ckpt.replay.trim_through(epoch);
-            self.ctx.metrics.snapshots.fetch_add(1, Ordering::Relaxed);
-            self.ctx
-                .metrics
-                .snapshot_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
+            self.ctx.metrics[Counter::Snapshots].fetch_add(1, Ordering::Relaxed);
+            self.ctx.metrics[Counter::SnapshotBytes].fetch_add(bytes, Ordering::Relaxed);
             self.ctx
                 .trace_event(TraceEventKind::CheckpointCompleted { epoch, bytes });
         }
@@ -710,7 +697,7 @@ impl WorkerTask {
         if self.reconfig.is_some() {
             self.poll_reconfig();
         }
-        let blocked0 = self.ctx.metrics.blocked_ns.load(Ordering::Relaxed);
+        let blocked0 = self.ctx.metrics[Counter::BlockedNs].load(Ordering::Relaxed);
         let backoff0 = self.ctx.metrics.backoff_ns.load(Ordering::Relaxed);
         let t0 = Instant::now();
         let finished = self.process_inbox();
@@ -719,11 +706,9 @@ impl WorkerTask {
         // latency.
         self.ctx.flush_all();
         let elapsed = t0.elapsed().as_nanos() as u64;
-        let waited = (self.ctx.metrics.blocked_ns.load(Ordering::Relaxed) - blocked0)
+        let waited = (self.ctx.metrics[Counter::BlockedNs].load(Ordering::Relaxed) - blocked0)
             + (self.ctx.metrics.backoff_ns.load(Ordering::Relaxed) - backoff0);
-        self.ctx
-            .metrics
-            .busy_ns
+        self.ctx.metrics[Counter::BusyNs]
             .fetch_add(elapsed.saturating_sub(waited), Ordering::Relaxed);
         finished
     }
@@ -971,9 +956,7 @@ impl WorkerTask {
     fn finish(&mut self) {
         use std::sync::atomic::Ordering;
         if let Some(ckpt) = &self.ckpt {
-            self.ctx
-                .metrics
-                .replay_overflows
+            self.ctx.metrics[Counter::ReplayOverflows]
                 .store(ckpt.replay.overflows(), Ordering::Relaxed);
         }
         if self.reconfig.is_some() {
@@ -986,7 +969,7 @@ impl WorkerTask {
                 self.deliver_outputs();
             } else {
                 self.out.clear();
-                self.ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
+                self.ctx.metrics[Counter::Panics].fetch_add(1, Ordering::Relaxed);
                 self.ctx.trace_event(TraceEventKind::OperatorPanicked);
             }
         }

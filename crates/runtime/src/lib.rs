@@ -127,7 +127,7 @@ pub use mailbox::{
     Sender,
 };
 pub use meta::{MetaDest, MetaOperator, MetaRoute};
-pub use metrics::{ActorReport, RunReport};
+pub use metrics::{ActorReport, Counter, CounterKind, CounterSpec, Counters, RunReport, COUNTERS};
 pub use operator::{Outputs, StreamOperator, DEFAULT_PORT};
 pub use profiler::{profile_operator, sample_stream, ProfileResult};
 pub use reconfig::{KeyHandoff, ReconfigHandle, ReconfigOp};

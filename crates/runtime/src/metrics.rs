@@ -4,46 +4,150 @@
 //! backpressure-blocked time, and timestamps its first and last departure.
 //! From those the engine derives the *measured* steady-state departure
 //! rates compared against the cost model in §5.2.
+//!
+//! The per-actor counters are declared once, in the [`Counter`] table
+//! below: the engine's atomics, the discrete-event simulator's state, the
+//! telemetry samples and the JSON-lines and Prometheus writers all follow
+//! it.
 
 use crate::supervision::DeadLetterLog;
 use crate::ActorId;
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// What a [`Counter`] accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// A number of items or events.
+    Count,
+    /// Nanoseconds (wall-clock on the threaded engine, virtual in the
+    /// discrete-event simulator).
+    Nanos,
+}
+
+/// One row of the counter table ([`COUNTERS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSpec {
+    /// The counter this row describes.
+    pub counter: Counter,
+    /// Export name: the JSON-lines field, and the Prometheus family
+    /// `spinstreams_actor_<name>_total`.
+    pub name: &'static str,
+    /// What the counter accumulates.
+    pub kind: CounterKind,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+}
+
+/// Declares the counter table: one line per counter gives its
+/// [`Counter`] variant, its export name (also its [`Counters`] field),
+/// its [`CounterKind`] and its help text.
+macro_rules! counter_table {
+    ($($variant:ident $name:ident $kind:ident $help:literal;)*) => {
+        /// One per-actor cumulative counter.
+        ///
+        /// The table behind it ([`COUNTERS`]) is the one list of per-actor
+        /// counters. The engine keeps one atomic per entry, the
+        /// discrete-event simulator and the telemetry samples one
+        /// [`Counters`] value, and the JSON-lines and Prometheus writers
+        /// iterate over the table, so a counter declared here is counted,
+        /// sampled and exported everywhere.
+        ///
+        /// To add a counter, add one line to the `counter_table!`
+        /// invocation in `metrics.rs` and its export name to
+        /// `ACTOR_FIELDS` in `scripts/validate_telemetry.py`; the schema
+        /// coverage test fails until both are done. New lines go at the
+        /// end: the JSON writer emits the first two entries, then the
+        /// derived rate and queue fields, then the rest in table order.
+        /// Adding a counter changes the JSON-lines bytes, so the
+        /// simulator goldens are re-pinned with it. [`ActorReport`] keeps
+        /// its own named fields and carries a new counter only if
+        /// `ActorReport::new` is taught to.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $(#[doc = $help] $variant,)*
+        }
+
+        impl Counter {
+            /// Number of counters in the table.
+            pub const COUNT: usize = [$(Counter::$variant),*].len();
+        }
+
+        /// The counter table, in export order.
+        pub static COUNTERS: [CounterSpec; Counter::COUNT] = [$(CounterSpec {
+            counter: Counter::$variant,
+            name: stringify!($name),
+            kind: CounterKind::$kind,
+            help: $help,
+        },)*];
+
+        /// One value per [`Counter`]: an actor's cumulative counters at one
+        /// instant. Fields are named after the export names; indexing by
+        /// [`Counter`] reads the same cells.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $(#[doc = $help] pub $name: u64,)*
+        }
+
+        impl Counters {
+            /// Builds a value by evaluating `f` once per counter, in
+            /// table order.
+            pub fn from_fn(mut f: impl FnMut(Counter) -> u64) -> Self {
+                Counters { $($name: f(Counter::$variant),)* }
+            }
+        }
+
+        impl Index<Counter> for Counters {
+            type Output = u64;
+            fn index(&self, c: Counter) -> &u64 {
+                match c { $(Counter::$variant => &self.$name,)* }
+            }
+        }
+    };
+}
+
+counter_table! {
+    ItemsIn items_in Count "Items consumed by the actor since run start.";
+    ItemsOut items_out Count "Items emitted by the actor since run start.";
+    Panics panics Count "Operator invocations that panicked (caught by the supervisor).";
+    Restarts restarts Count "Times the supervisor re-instantiated the actor's operator after a panic.";
+    DeadLetters dead_letters Count "Items the actor failed to deliver or lost to panics and degraded-mode drops.";
+    Dropped dropped Count "Items the actor dropped on send timeout.";
+    BusyNs busy_ns Nanos "Nanoseconds the actor spent servicing items.";
+    BlockedNs blocked_ns Nanos "Nanoseconds the actor spent blocked sending into full downstream mailboxes.";
+    InboxStallNs inbox_stall_ns Nanos "Nanoseconds producers spent stalled on this actor's inbox (receiver-edge backpressure).";
+    Snapshots snapshots Count "Checkpoint snapshots the actor captured.";
+    SnapshotBytes snapshot_bytes Count "Bytes of checkpoint state the actor captured.";
+    AlignStallNs align_stall_ns Nanos "Nanoseconds spent waiting on checkpoint barrier alignment.";
+    Recoveries recoveries Count "Checkpoint-restore recoveries the actor performed.";
+    Replayed replayed Count "Items re-processed from the replay log after recoveries.";
+    ReplayOverflows replay_overflows Count "Recoveries degraded to reset-to-empty by replay-buffer overflow.";
+}
 
 /// Shared mutable metric cells for one actor (written by the actor thread).
 #[derive(Debug, Default)]
 pub(crate) struct ActorMetrics {
-    pub items_in: AtomicU64,
-    pub items_out: AtomicU64,
-    pub dropped: AtomicU64,
-    pub busy_ns: AtomicU64,
-    pub blocked_ns: AtomicU64,
+    /// One cell per [`Counter`], indexed through `metrics[Counter::X]`.
+    /// The [`Counter::InboxStallNs`] cell stays zero: the producers write
+    /// that counter into the actor's mailbox, and [`Self::counters`]
+    /// joins it in.
+    counters: [AtomicU64; Counter::COUNT],
+    /// Time spent sleeping in restart backoff (reported, not exported).
+    pub backoff_ns: AtomicU64,
     /// Nanoseconds since engine start of the first/last departure
     /// (`u64::MAX` = never departed).
     pub first_out_ns: AtomicU64,
     pub last_out_ns: AtomicU64,
-    /// Operator invocations that panicked (caught by the supervisor).
-    pub panics: AtomicU64,
-    /// Times the operator was re-instantiated after a panic.
-    pub restarts: AtomicU64,
-    /// Time spent sleeping in restart backoff.
-    pub backoff_ns: AtomicU64,
-    /// Dead letters attributed to this actor (as source).
-    pub dead_letters: AtomicU64,
-    /// Epoch snapshots successfully captured at barrier alignment.
-    pub snapshots: AtomicU64,
-    /// Total serialized bytes across all captured snapshots.
-    pub snapshot_bytes: AtomicU64,
-    /// Time spent buffering input behind in-progress barrier alignments.
-    pub align_stall_ns: AtomicU64,
-    /// Restarts recovered via snapshot-restore + replay (vs reset-empty).
-    pub recoveries: AtomicU64,
-    /// Tuples replayed through the operator during recoveries.
-    pub replayed: AtomicU64,
-    /// Times the bounded replay buffer overflowed (recovery degraded).
-    pub replay_overflows: AtomicU64,
     /// Epoch of the snapshot last restored during recovery (0 = none).
     pub restored_epoch: AtomicU64,
+}
+
+impl Index<Counter> for ActorMetrics {
+    type Output = AtomicU64;
+    fn index(&self, c: Counter) -> &AtomicU64 {
+        &self.counters[c as usize]
+    }
 }
 
 impl ActorMetrics {
@@ -61,7 +165,7 @@ impl ActorMetrics {
         if n == 0 {
             return;
         }
-        self.items_out.fetch_add(n, Ordering::Relaxed);
+        self[Counter::ItemsOut].fetch_add(n, Ordering::Relaxed);
         // Only the owning actor thread writes, so a simple compare works.
         if self.first_out_ns.load(Ordering::Relaxed) == u64::MAX {
             self.first_out_ns.store(now_ns, Ordering::Relaxed);
@@ -69,36 +173,39 @@ impl ActorMetrics {
         self.last_out_ns.store(now_ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self, name: &str, id: ActorId) -> ActorReport {
-        ActorReport {
+    /// Loads every counter, joined with the mailbox-side stall
+    /// accounting (`inbox_stall_ns`, 0 for sources).
+    pub(crate) fn counters(&self, inbox_stall_ns: u64) -> Counters {
+        let mut c = Counters::from_fn(|c| self[c].load(Ordering::Relaxed));
+        c.inbox_stall_ns = inbox_stall_ns;
+        c
+    }
+
+    /// The actor's final report.
+    pub(crate) fn report(&self, name: &str, id: ActorId) -> ActorReport {
+        let epoch = self.restored_epoch.load(Ordering::Relaxed);
+        ActorReport::new(
             id,
-            name: name.to_string(),
-            items_in: self.items_in.load(Ordering::Relaxed),
-            items_out: self.items_out.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
-            blocked: Duration::from_nanos(self.blocked_ns.load(Ordering::Relaxed)),
-            first_out_ns: self.first_out_ns.load(Ordering::Relaxed),
-            last_out_ns: self.last_out_ns.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            backoff: Duration::from_nanos(self.backoff_ns.load(Ordering::Relaxed)),
-            dead_letters: self.dead_letters.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
-            align_stall: Duration::from_nanos(self.align_stall_ns.load(Ordering::Relaxed)),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            replay_overflows: self.replay_overflows.load(Ordering::Relaxed),
-            last_restored_epoch: {
-                let e = self.restored_epoch.load(Ordering::Relaxed);
-                (e != 0).then_some(e)
-            },
-        }
+            name.to_string(),
+            &self.counters(0),
+            self.first_out_ns.load(Ordering::Relaxed),
+            self.last_out_ns.load(Ordering::Relaxed),
+            Duration::from_nanos(self.backoff_ns.load(Ordering::Relaxed)),
+            (epoch != 0).then_some(epoch),
+        )
     }
 }
 
 /// Metrics snapshot of one actor after a run.
+///
+/// Every field stays public with its type: downstream tools (the
+/// `perfbench` harness among them) read `name`, `items_in`, `items_out`,
+/// `busy`, `blocked`, `snapshots`, `snapshot_bytes` and `align_stall`
+/// directly, and call `RunReport::{total_dropped, total_dead_letters,
+/// total_panics}`. Inside this crate a report is built only by
+/// `ActorReport::new`, from a [`Counters`] value plus the fields that are
+/// not counters; the threaded engine and the discrete-event simulator
+/// both call it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActorReport {
     /// The actor.
@@ -153,6 +260,43 @@ pub struct ActorReport {
 }
 
 impl ActorReport {
+    /// Builds the report of actor `id` from its counters and the fields
+    /// that are not counters: the first and last departure timestamps,
+    /// the restart backoff and the last restored epoch. The
+    /// [`Counter::InboxStallNs`] counter has no report field.
+    pub(crate) fn new(
+        id: ActorId,
+        name: String,
+        c: &Counters,
+        first_out_ns: u64,
+        last_out_ns: u64,
+        backoff: Duration,
+        last_restored_epoch: Option<u64>,
+    ) -> Self {
+        ActorReport {
+            id,
+            name,
+            items_in: c.items_in,
+            items_out: c.items_out,
+            dropped: c.dropped,
+            busy: Duration::from_nanos(c.busy_ns),
+            blocked: Duration::from_nanos(c.blocked_ns),
+            first_out_ns,
+            last_out_ns,
+            panics: c.panics,
+            restarts: c.restarts,
+            backoff,
+            dead_letters: c.dead_letters,
+            snapshots: c.snapshots,
+            snapshot_bytes: c.snapshot_bytes,
+            align_stall: Duration::from_nanos(c.align_stall_ns),
+            recoveries: c.recoveries,
+            replayed: c.replayed,
+            replay_overflows: c.replay_overflows,
+            last_restored_epoch,
+        }
+    }
+
     /// Measured steady-state departure rate in items/s: emissions divided
     /// by the first-to-last departure span. `None` with fewer than two
     /// departures.
@@ -266,28 +410,19 @@ mod tests {
     use super::*;
 
     fn report(items_out: u64, first_ns: u64, last_ns: u64) -> ActorReport {
-        ActorReport {
-            id: ActorId(0),
-            name: "a".into(),
-            items_in: 0,
+        let c = Counters {
             items_out,
-            dropped: 0,
-            busy: Duration::ZERO,
-            blocked: Duration::ZERO,
-            first_out_ns: first_ns,
-            last_out_ns: last_ns,
-            panics: 0,
-            restarts: 0,
-            backoff: Duration::ZERO,
-            dead_letters: 0,
-            snapshots: 0,
-            snapshot_bytes: 0,
-            align_stall: Duration::ZERO,
-            recoveries: 0,
-            replayed: 0,
-            replay_overflows: 0,
-            last_restored_epoch: None,
-        }
+            ..Counters::default()
+        };
+        ActorReport::new(
+            ActorId(0),
+            "a".into(),
+            &c,
+            first_ns,
+            last_ns,
+            Duration::ZERO,
+            None,
+        )
     }
 
     #[test]
@@ -318,7 +453,7 @@ mod tests {
         m.record_out_n(100, 1);
         m.record_out_n(500, 0); // no departures: must not stamp
         m.record_out_n(900, 2);
-        let snap = m.snapshot("x", ActorId(3));
+        let snap = m.report("x", ActorId(3));
         assert_eq!(snap.items_out, 3);
         assert_eq!(snap.first_out_ns, 100);
         assert_eq!(snap.last_out_ns, 900);

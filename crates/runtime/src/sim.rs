@@ -25,7 +25,7 @@
 
 use crate::engine::validate;
 use crate::graph::{ActorGraph, Behavior, SourceConfig};
-use crate::metrics::{ActorReport, RunReport};
+use crate::metrics::{ActorReport, Counters, RunReport};
 use crate::operator::Outputs;
 use crate::rng::XorShift64;
 use crate::route::RouteState;
@@ -115,22 +115,19 @@ struct SimActor {
     downstream: Vec<usize>,
     /// Present only with telemetry enabled on sink actors.
     latency: Option<Arc<LatencyHistogram>>,
-    // metrics
-    items_in: u64,
-    items_out: u64,
-    busy_ns: u64,
-    blocked_ns: u64,
-    /// Receiver-edge stall view: total virtual time producers spent
+    /// Counted in virtual time. The simulator models ideal operators, so
+    /// the supervision and recovery counters stay zero. `inbox_stall_ns`
+    /// is the receiver-edge stall view: total virtual time producers spent
     /// blocked on *this* actor's full mailbox (mirrors the threaded
     /// engine's per-mailbox stall counter).
-    inbox_stall_ns: u64,
+    counters: Counters,
     first_out_ns: u64,
     last_out_ns: u64,
 }
 
 impl SimActor {
     fn record_out(&mut self, now: u64) {
-        self.items_out += 1;
+        self.counters.items_out += 1;
         if self.first_out_ns == u64::MAX {
             self.first_out_ns = now;
         }
@@ -212,17 +209,12 @@ impl Sim {
                 .actors
                 .iter()
                 .map(|a| RawCounters {
-                    items_in: a.items_in,
-                    items_out: a.items_out,
-                    busy_ns: a.busy_ns,
-                    blocked_ns: a.blocked_ns,
-                    inbox_stall_ns: a.inbox_stall_ns,
+                    counters: a.counters,
                     queue_depth: if matches!(a.kind, Kind::Source { .. }) {
                         None
                     } else {
                         Some(a.queue.len())
                     },
-                    ..RawCounters::default()
                 })
                 .collect();
             hub.sample(t_ns, &raw, self.modeled_epoch());
@@ -354,7 +346,7 @@ impl Sim {
             self.maybe_finish(a, now);
             return;
         };
-        self.actors[a].items_in += 1;
+        self.actors[a].counters.items_in += 1;
         // Flight recorder: sampled tuples leave one span event per hop,
         // stamped at the exact virtual instant service starts.
         if let Some(mask) = self.span_mask {
@@ -372,7 +364,7 @@ impl Sim {
         self.actors[a].state = AState::Busy;
         self.wake_waiters(a, now);
         let service = self.run_operator(a, Some(item));
-        self.actors[a].busy_ns += service;
+        self.actors[a].counters.busy_ns += service;
         self.push_event(now + service, a, Ev::ServiceDone);
     }
 
@@ -384,8 +376,8 @@ impl Sim {
             };
             let since = self.actors[w].blocked_since;
             let blocked = now.saturating_sub(since);
-            self.actors[w].blocked_ns += blocked;
-            self.actors[dest].inbox_stall_ns += blocked;
+            self.actors[w].counters.blocked_ns += blocked;
+            self.actors[dest].counters.inbox_stall_ns += blocked;
             if blocked > 0 {
                 self.trace(now, w, TraceEventKind::Blocked { ns: blocked });
             }
@@ -408,7 +400,7 @@ impl Sim {
         }
         self.actors[a].finished = true;
         let flush_ns = self.run_operator(a, None);
-        self.actors[a].busy_ns += flush_ns;
+        self.actors[a].counters.busy_ns += flush_ns;
         self.resolve_outputs(a, now);
         self.deliver_pending(a, now);
     }
@@ -588,11 +580,7 @@ fn simulate_with(
             blocked_since: 0,
             downstream,
             latency: hub.as_ref().and_then(|h| h.latency_of(i)),
-            items_in: 0,
-            items_out: 0,
-            busy_ns: 0,
-            blocked_ns: 0,
-            inbox_stall_ns: 0,
+            counters: Counters::default(),
             first_out_ns: u64::MAX,
             last_out_ns: 0,
         });
@@ -648,29 +636,16 @@ fn simulate_with(
         .actors
         .iter()
         .enumerate()
-        .map(|(i, a)| ActorReport {
-            id: ActorId(i),
-            name: a.name.clone(),
-            items_in: a.items_in,
-            items_out: a.items_out,
-            dropped: 0,
-            busy: Duration::from_nanos(a.busy_ns),
-            blocked: Duration::from_nanos(a.blocked_ns),
-            first_out_ns: a.first_out_ns,
-            last_out_ns: a.last_out_ns,
-            // The simulator models ideal operators: no panics, so the
-            // supervision and recovery counters are structurally zero.
-            panics: 0,
-            restarts: 0,
-            backoff: Duration::ZERO,
-            dead_letters: 0,
-            snapshots: 0,
-            snapshot_bytes: 0,
-            align_stall: Duration::ZERO,
-            recoveries: 0,
-            replayed: 0,
-            replay_overflows: 0,
-            last_restored_epoch: None,
+        .map(|(i, a)| {
+            ActorReport::new(
+                ActorId(i),
+                a.name.clone(),
+                &a.counters,
+                a.first_out_ns,
+                a.last_out_ns,
+                Duration::ZERO,
+                None,
+            )
         })
         .collect();
     // Ideal operators never fail, so every injected epoch completes; the

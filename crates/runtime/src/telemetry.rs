@@ -30,7 +30,7 @@
 //! `--no-default-features` additionally compiles the sampler thread out
 //! (the `telemetry` cargo feature), leaving only the final snapshot.
 
-use crate::metrics::ActorMetrics;
+use crate::metrics::{Counters, COUNTERS};
 use crate::supervision::DeadLetterReason;
 use crate::ActorId;
 use std::collections::VecDeque;
@@ -520,17 +520,23 @@ impl TraceLog {
     }
 }
 
-/// One actor's sample within a [`TelemetrySnapshot`].
+/// One actor's sample within a [`TelemetrySnapshot`]: its cumulative
+/// [`Counters`] plus the fields derived at sampling time.
+///
+/// The sample dereferences to its counters, so `sample.busy_ns` reads
+/// `sample.counters.busy_ns`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActorSample {
     /// The actor.
     pub id: ActorId,
     /// Diagnostic name from the actor graph.
     pub name: String,
-    /// Cumulative items received.
-    pub items_in: u64,
-    /// Cumulative items emitted.
-    pub items_out: u64,
+    /// Cumulative counters at sampling time. `busy_ns` is the numerator
+    /// of the online service-time estimate `µ̂ = Δbusy_ns / Δitems_in`;
+    /// `blocked_ns` is backpressure the actor *suffered* and
+    /// `inbox_stall_ns` backpressure it *caused* (0 for sources, which
+    /// have no mailbox).
+    pub counters: Counters,
     /// Mailbox depth at sampling time (`None` for sources — no mailbox).
     pub queue_depth: Option<usize>,
     /// Mailbox capacity (`None` for sources).
@@ -541,36 +547,13 @@ pub struct ActorSample {
     pub departure_rate: f64,
     /// Fraction of the last interval spent inside the operator.
     pub utilization: f64,
-    /// Cumulative caught panics.
-    pub panics: u64,
-    /// Cumulative operator restarts.
-    pub restarts: u64,
-    /// Cumulative dead letters attributed to this actor.
-    pub dead_letters: u64,
-    /// Cumulative items dropped on send timeout.
-    pub dropped: u64,
-    /// Cumulative nanoseconds spent inside the operator (the numerator of
-    /// the online service-time estimate `µ̂ = Δbusy_ns / Δitems_in`).
-    pub busy_ns: u64,
-    /// Cumulative nanoseconds this actor spent blocked sending downstream
-    /// (backpressure it *suffered*).
-    pub blocked_ns: u64,
-    /// Cumulative nanoseconds upstream producers spent blocked pushing
-    /// into this actor's mailbox (backpressure it *caused*; 0 for
-    /// sources, which have no mailbox).
-    pub inbox_stall_ns: u64,
-    /// Cumulative checkpoint snapshots captured.
-    pub snapshots: u64,
-    /// Cumulative serialized snapshot bytes.
-    pub snapshot_bytes: u64,
-    /// Cumulative nanoseconds spent aligned-stalled on epoch barriers.
-    pub align_stall_ns: u64,
-    /// Cumulative state recoveries after restart.
-    pub recoveries: u64,
-    /// Cumulative tuples replayed during recoveries.
-    pub replayed: u64,
-    /// Cumulative replay-buffer overflows (degraded recoveries).
-    pub replay_overflows: u64,
+}
+
+impl std::ops::Deref for ActorSample {
+    type Target = Counters;
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
 }
 
 /// Per-sink latency summary within a [`TelemetrySnapshot`].
@@ -656,11 +639,14 @@ impl TelemetrySnapshot {
                 s.push_str("\",\"tenant\":\"");
                 escape_json(tenant, &mut s);
             }
-            let _ = write!(
-                s,
-                "\",\"items_in\":{},\"items_out\":{},\"queue_depth\":",
-                a.items_in, a.items_out
-            );
+            // The first two counters, then the derived fields, then the
+            // rest of the table: the field order the export has always had.
+            let (head, tail) = COUNTERS.split_at(2);
+            s.push('"');
+            for c in head {
+                let _ = write!(s, ",\"{}\":{}", c.name, a.counters[c.counter]);
+            }
+            s.push_str(",\"queue_depth\":");
             match a.queue_depth {
                 Some(d) => {
                     let _ = write!(s, "{d}");
@@ -676,28 +662,13 @@ impl TelemetrySnapshot {
             }
             let _ = write!(
                 s,
-                ",\"arrival_rate\":{:.3},\"departure_rate\":{:.3},\"utilization\":{:.4},\
-                 \"panics\":{},\"restarts\":{},\"dead_letters\":{},\"dropped\":{},\
-                 \"busy_ns\":{},\"blocked_ns\":{},\"inbox_stall_ns\":{},\
-                 \"snapshots\":{},\"snapshot_bytes\":{},\"align_stall_ns\":{},\
-                 \"recoveries\":{},\"replayed\":{},\"replay_overflows\":{}}}",
-                a.arrival_rate,
-                a.departure_rate,
-                a.utilization,
-                a.panics,
-                a.restarts,
-                a.dead_letters,
-                a.dropped,
-                a.busy_ns,
-                a.blocked_ns,
-                a.inbox_stall_ns,
-                a.snapshots,
-                a.snapshot_bytes,
-                a.align_stall_ns,
-                a.recoveries,
-                a.replayed,
-                a.replay_overflows
+                ",\"arrival_rate\":{:.3},\"departure_rate\":{:.3},\"utilization\":{:.4}",
+                a.arrival_rate, a.departure_rate, a.utilization
             );
+            for c in tail {
+                let _ = write!(s, ",\"{}\":{}", c.name, a.counters[c.counter]);
+            }
+            s.push('}');
         }
         s.push_str("],\"latency\":[");
         for (i, l) in self.latencies.iter().enumerate() {
@@ -846,58 +817,16 @@ pub fn assemble_spans(events: &[TraceEvent]) -> Vec<SpanPath> {
 /// [`TelemetryHub::sample`] by whichever executor owns the counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RawCounters {
-    pub items_in: u64,
-    pub items_out: u64,
-    pub busy_ns: u64,
-    pub blocked_ns: u64,
-    pub inbox_stall_ns: u64,
-    pub panics: u64,
-    pub restarts: u64,
-    pub dead_letters: u64,
-    pub dropped: u64,
-    pub snapshots: u64,
-    pub snapshot_bytes: u64,
-    pub align_stall_ns: u64,
-    pub recoveries: u64,
-    pub replayed: u64,
-    pub replay_overflows: u64,
+    pub counters: Counters,
     pub queue_depth: Option<usize>,
 }
 
-impl RawCounters {
-    /// Loads the counters from an actor's shared atomic metrics, joined
-    /// with the mailbox-side stall accounting (`inbox_stall_ns`).
-    pub(crate) fn from_metrics(
-        m: &ActorMetrics,
-        queue_depth: Option<usize>,
-        inbox_stall_ns: u64,
-    ) -> Self {
-        RawCounters {
-            items_in: m.items_in.load(Ordering::Relaxed),
-            items_out: m.items_out.load(Ordering::Relaxed),
-            busy_ns: m.busy_ns.load(Ordering::Relaxed),
-            blocked_ns: m.blocked_ns.load(Ordering::Relaxed),
-            inbox_stall_ns,
-            panics: m.panics.load(Ordering::Relaxed),
-            restarts: m.restarts.load(Ordering::Relaxed),
-            dead_letters: m.dead_letters.load(Ordering::Relaxed),
-            dropped: m.dropped.load(Ordering::Relaxed),
-            snapshots: m.snapshots.load(Ordering::Relaxed),
-            snapshot_bytes: m.snapshot_bytes.load(Ordering::Relaxed),
-            align_stall_ns: m.align_stall_ns.load(Ordering::Relaxed),
-            recoveries: m.recoveries.load(Ordering::Relaxed),
-            replayed: m.replayed.load(Ordering::Relaxed),
-            replay_overflows: m.replay_overflows.load(Ordering::Relaxed),
-            queue_depth,
-        }
-    }
-}
-
+/// One actor's counters at the previous sample: the rolling window's
+/// baseline.
+#[derive(Clone, Copy, Default)]
 struct PrevCounters {
     t_ns: u64,
-    items_in: u64,
-    items_out: u64,
-    busy_ns: u64,
+    counters: Counters,
 }
 
 /// Static per-actor telemetry context held by the hub.
@@ -933,14 +862,7 @@ impl TelemetryHub {
             ring_capacity: config.ring_capacity.max(1),
             tenant: config.tenant.clone(),
             state: Mutex::new(HubState {
-                prev: (0..n)
-                    .map(|_| PrevCounters {
-                        t_ns: 0,
-                        items_in: 0,
-                        items_out: 0,
-                        busy_ns: 0,
-                    })
-                    .collect(),
+                prev: vec![PrevCounters::default(); n],
                 ring: VecDeque::new(),
                 tick: 0,
             }),
@@ -991,48 +913,33 @@ impl TelemetryHub {
         for (i, actor) in self.actors.iter().enumerate() {
             let r = &raw[i];
             let prev = &mut state.prev[i];
+            let (c, p) = (&r.counters, &prev.counters);
             let (arrival, departure, util) = if window_ns == 0 {
                 (0.0, 0.0, 0.0)
             } else {
                 let dt = window_ns as f64 / 1e9;
                 (
-                    r.items_in.saturating_sub(prev.items_in) as f64 / dt,
-                    r.items_out.saturating_sub(prev.items_out) as f64 / dt,
+                    c.items_in.saturating_sub(p.items_in) as f64 / dt,
+                    c.items_out.saturating_sub(p.items_out) as f64 / dt,
                     // A busy span finishing just after the boundary can
                     // push the ratio marginally past 1; clamp — a single
                     // logical server cannot be more than fully utilized.
-                    (r.busy_ns.saturating_sub(prev.busy_ns) as f64 / window_ns as f64).min(1.0),
+                    (c.busy_ns.saturating_sub(p.busy_ns) as f64 / window_ns as f64).min(1.0),
                 )
             };
             *prev = PrevCounters {
                 t_ns,
-                items_in: r.items_in,
-                items_out: r.items_out,
-                busy_ns: r.busy_ns,
+                counters: r.counters,
             };
             samples.push(ActorSample {
                 id: ActorId(i),
                 name: actor.name.clone(),
-                items_in: r.items_in,
-                items_out: r.items_out,
+                counters: r.counters,
                 queue_depth: r.queue_depth,
                 queue_capacity: actor.queue_capacity,
                 arrival_rate: arrival,
                 departure_rate: departure,
                 utilization: util,
-                panics: r.panics,
-                restarts: r.restarts,
-                dead_letters: r.dead_letters,
-                dropped: r.dropped,
-                busy_ns: r.busy_ns,
-                blocked_ns: r.blocked_ns,
-                inbox_stall_ns: r.inbox_stall_ns,
-                snapshots: r.snapshots,
-                snapshot_bytes: r.snapshot_bytes,
-                align_stall_ns: r.align_stall_ns,
-                recoveries: r.recoveries,
-                replayed: r.replayed,
-                replay_overflows: r.replay_overflows,
             });
         }
         let latencies = self
@@ -1076,24 +983,9 @@ impl TelemetryHub {
         raw: &[RawCounters],
         last_complete_epoch: Option<u64>,
     ) -> TelemetrySnapshot {
-        for (i, s) in last.actors.iter_mut().enumerate() {
-            let r = &raw[i];
-            s.items_in = r.items_in;
-            s.items_out = r.items_out;
+        for (s, r) in last.actors.iter_mut().zip(raw) {
+            s.counters = r.counters;
             s.queue_depth = r.queue_depth;
-            s.panics = r.panics;
-            s.restarts = r.restarts;
-            s.dead_letters = r.dead_letters;
-            s.dropped = r.dropped;
-            s.busy_ns = r.busy_ns;
-            s.blocked_ns = r.blocked_ns;
-            s.inbox_stall_ns = r.inbox_stall_ns;
-            s.snapshots = r.snapshots;
-            s.snapshot_bytes = r.snapshot_bytes;
-            s.align_stall_ns = r.align_stall_ns;
-            s.recoveries = r.recoveries;
-            s.replayed = r.replayed;
-            s.replay_overflows = r.replay_overflows;
         }
         for l in &mut last.latencies {
             if let Some(h) = self.actors[l.actor.0].latency.as_ref() {
@@ -1213,21 +1105,22 @@ mod tests {
         TelemetryHub::new(actors, &TelemetryConfig::default())
     }
 
+    fn raw(items_in: u64, items_out: u64, busy_ns: u64, queue_depth: Option<usize>) -> RawCounters {
+        RawCounters {
+            counters: Counters {
+                items_in,
+                items_out,
+                busy_ns,
+                ..Counters::default()
+            },
+            queue_depth,
+        }
+    }
+
     #[test]
     fn hub_computes_rolling_rates_from_deltas() {
         let hub = hub_with(&["src", "sink"]);
-        let raw0 = [
-            RawCounters {
-                items_out: 100,
-                ..RawCounters::default()
-            },
-            RawCounters {
-                items_in: 100,
-                busy_ns: 500_000_000,
-                queue_depth: Some(3),
-                ..RawCounters::default()
-            },
-        ];
+        let raw0 = [raw(0, 100, 0, None), raw(100, 0, 500_000_000, Some(3))];
         let s0 = hub.sample(1_000_000_000, &raw0, None);
         assert_eq!(s0.tick, 0);
         assert!((s0.actors[0].departure_rate - 100.0).abs() < 1e-9);
@@ -1235,18 +1128,7 @@ mod tests {
         assert_eq!(s0.actors[1].queue_depth, Some(3));
 
         // Second window: 50 more items over 0.5 s -> 100/s rolling.
-        let raw1 = [
-            RawCounters {
-                items_out: 150,
-                ..RawCounters::default()
-            },
-            RawCounters {
-                items_in: 150,
-                busy_ns: 750_000_000,
-                queue_depth: Some(0),
-                ..RawCounters::default()
-            },
-        ];
+        let raw1 = [raw(0, 150, 0, None), raw(150, 0, 750_000_000, Some(0))];
         let s1 = hub.sample(1_500_000_000, &raw1, None);
         assert_eq!(s1.tick, 1);
         assert_eq!(s1.interval_ns, 500_000_000);
@@ -1260,32 +1142,12 @@ mod tests {
     #[test]
     fn zero_width_window_merges_instead_of_emitting_bogus_rates() {
         let hub = hub_with(&["src", "sink"]);
-        let raw0 = [
-            RawCounters {
-                items_out: 100,
-                ..RawCounters::default()
-            },
-            RawCounters {
-                items_in: 100,
-                busy_ns: 500_000_000,
-                ..RawCounters::default()
-            },
-        ];
+        let raw0 = [raw(0, 100, 0, None), raw(100, 0, 500_000_000, None)];
         let s0 = hub.sample(1_000_000_000, &raw0, None);
         // A second sample on the same timestamp: counters advanced but no
         // time passed. It must merge into tick 0, not mint a zero-rate
         // (or NaN/inf) snapshot.
-        let raw1 = [
-            RawCounters {
-                items_out: 160,
-                ..RawCounters::default()
-            },
-            RawCounters {
-                items_in: 160,
-                busy_ns: 700_000_000,
-                ..RawCounters::default()
-            },
-        ];
+        let raw1 = [raw(0, 160, 0, None), raw(160, 0, 700_000_000, None)];
         let s1 = hub.sample(1_000_000_000, &raw1, Some(3));
         assert_eq!(s1.tick, 0, "merged into the previous tick");
         assert_eq!(s1.actors[0].items_out, 160, "cumulatives refreshed");

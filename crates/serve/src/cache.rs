@@ -30,8 +30,9 @@ pub struct CachedPlan {
     pub plan_text: String,
     /// FNV checksum of `plan_text`.
     pub plan_checksum: u64,
-    /// Algorithm 1 report of the optimized plan — the admission model's
-    /// input.
+    /// Algorithm 1 report of the *unfused* plan: the replicated model
+    /// without its `fusions`, so neither it nor the admission model that
+    /// reads it sees a meta-operator (ROADMAP item 1).
     pub predicted: SteadyStateReport,
     /// Times this entry was served from cache.
     pub hits: u64,

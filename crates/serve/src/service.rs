@@ -137,8 +137,11 @@ pub struct ServeConfig {
     /// Operators that consumed fewer items than this in the profiling run
     /// keep their prior annotations.
     pub calibration_min_samples: u64,
-    /// Whether the optimizer fuses the longest low-utilization stateless
-    /// chain (Algorithm 3's greedy step).
+    /// Whether the optimizer fuses the longest chain of single-replica
+    /// stateless operators (`fusable_chain`). The choice reads no
+    /// utilization and is not checked by Algorithm 3, so a fusion may
+    /// lower throughput; ROADMAP item 1 replaces it with one planner gated
+    /// by Algorithm 3.
     pub fuse: bool,
 }
 
@@ -371,7 +374,9 @@ impl StreamService {
     }
 
     /// The cold path: §4.1 profiling (optional), Algorithm 2 fission,
-    /// greedy Algorithm 3 fusion, and canonical plan serialization.
+    /// fusion of the longest single-replica stateless chain (when
+    /// [`ServeConfig::fuse`] is set; no Algorithm 3 check, see ROADMAP
+    /// item 1), and canonical plan serialization.
     fn optimize(
         &self,
         topo: &Topology,
@@ -522,7 +527,8 @@ impl StreamService {
         )?;
         let opts = self.codegen_opts(items);
         // Migrated degrees may break fusion eligibility; the migrated plan
-        // carries none (the controller re-derives them on its next pass).
+        // carries none, and nothing re-plans fusion afterwards, so a
+        // migrated tenant stays unfused (ROADMAP item 1).
         let fusions: Vec<FusionGroup> = Vec::new();
         let predicted = evaluate_with_replicas(&change.topology, &change.replicas);
         let plan_text = serialize_plan(&deployed, &change.replicas, &fusions, &opts);

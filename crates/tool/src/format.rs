@@ -4,8 +4,7 @@
 
 use crate::Comparison;
 use spinstreams_analysis::{DriftStatus, DriftVerdict};
-use spinstreams_runtime::telemetry::ActorSample;
-use spinstreams_runtime::TelemetrySnapshot;
+use spinstreams_runtime::{TelemetrySnapshot, COUNTERS};
 use std::fmt::Write as _;
 
 /// Renders one or more named series as an aligned text table with a
@@ -166,8 +165,8 @@ fn prom_header(s: &mut String, name: &str, kind: &str, help: &str) {
 }
 
 /// Renders one telemetry snapshot in the Prometheus text exposition
-/// format (version 0.0.4): counters for item/busy/blocked/stall and
-/// checkpoint-recovery totals, gauges for queue depths, rolling rates,
+/// format (version 0.0.4): one counter family per entry of the counter
+/// table ([`COUNTERS`]), gauges for queue depths, rolling rates,
 /// utilization, latency quantiles, the checkpoint epoch, and drift
 /// relative error. Every family carries `# HELP` and `# TYPE` lines.
 pub fn prometheus_text(snap: &TelemetrySnapshot, verdicts: &[DriftVerdict]) -> String {
@@ -179,83 +178,18 @@ pub fn prometheus_text(snap: &TelemetrySnapshot, verdicts: &[DriftVerdict]) -> S
         .as_deref()
         .map(|t| format!(",tenant=\"{}\"", prom_label(t)))
         .unwrap_or_default();
-    let counter = |s: &mut String, name: &str, help: &str, value: &dyn Fn(&ActorSample) -> u64| {
-        prom_header(s, name, "counter", help);
+    for c in &COUNTERS {
+        let name = format!("spinstreams_actor_{}_total", c.name);
+        prom_header(&mut s, &name, "counter", c.help);
         for a in &snap.actors {
             let _ = writeln!(
                 s,
                 "{name}{{actor=\"{}\"{tenant}}} {}",
                 prom_label(&a.name),
-                value(a)
+                a.counters[c.counter]
             );
         }
-    };
-    counter(
-        &mut s,
-        "spinstreams_actor_items_in_total",
-        "Items consumed by the actor since run start.",
-        &|a| a.items_in,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_items_out_total",
-        "Items emitted by the actor since run start.",
-        &|a| a.items_out,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_busy_ns_total",
-        "Nanoseconds the actor spent servicing items.",
-        &|a| a.busy_ns,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_blocked_ns_total",
-        "Nanoseconds the actor spent blocked sending into full downstream mailboxes.",
-        &|a| a.blocked_ns,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_inbox_stall_ns_total",
-        "Nanoseconds producers spent stalled on this actor's inbox (receiver-edge backpressure).",
-        &|a| a.inbox_stall_ns,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_snapshots_total",
-        "Checkpoint snapshots the actor captured.",
-        &|a| a.snapshots,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_snapshot_bytes_total",
-        "Bytes of checkpoint state the actor captured.",
-        &|a| a.snapshot_bytes,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_align_stall_ns_total",
-        "Nanoseconds spent waiting on checkpoint barrier alignment.",
-        &|a| a.align_stall_ns,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_recoveries_total",
-        "Checkpoint-restore recoveries the actor performed.",
-        &|a| a.recoveries,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_replayed_total",
-        "Items re-processed from the replay log after recoveries.",
-        &|a| a.replayed,
-    );
-    counter(
-        &mut s,
-        "spinstreams_actor_replay_overflows_total",
-        "Recoveries degraded to reset-to-empty by replay-buffer overflow.",
-        &|a| a.replay_overflows,
-    );
+    }
     prom_header(
         &mut s,
         "spinstreams_actor_queue_depth",
@@ -372,7 +306,7 @@ pub fn prometheus_text(snap: &TelemetrySnapshot, verdicts: &[DriftVerdict]) -> S
 mod tests {
     use super::*;
     use spinstreams_runtime::telemetry::{ActorSample, LatencySnapshot, SinkLatency};
-    use spinstreams_runtime::ActorId;
+    use spinstreams_runtime::{ActorId, Counters};
 
     fn sample_snapshot() -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -383,50 +317,38 @@ mod tests {
                 ActorSample {
                     id: ActorId(0),
                     name: "src".into(),
-                    items_in: 0,
-                    items_out: 1000,
+                    counters: Counters {
+                        items_out: 1000,
+                        busy_ns: 100_000_000,
+                        ..Counters::default()
+                    },
                     queue_depth: None,
                     queue_capacity: None,
                     arrival_rate: 0.0,
                     departure_rate: 2500.0,
                     utilization: 0.25,
-                    panics: 0,
-                    restarts: 0,
-                    dead_letters: 0,
-                    dropped: 0,
-                    busy_ns: 100_000_000,
-                    blocked_ns: 0,
-                    inbox_stall_ns: 0,
-                    snapshots: 0,
-                    snapshot_bytes: 0,
-                    align_stall_ns: 0,
-                    recoveries: 0,
-                    replayed: 0,
-                    replay_overflows: 0,
                 },
                 ActorSample {
                     id: ActorId(1),
                     name: "slow".into(),
-                    items_in: 990,
-                    items_out: 980,
+                    counters: Counters {
+                        items_in: 990,
+                        items_out: 980,
+                        busy_ns: 396_000_000,
+                        blocked_ns: 12_000_000,
+                        inbox_stall_ns: 7_000_000,
+                        snapshots: 3,
+                        snapshot_bytes: 96,
+                        align_stall_ns: 2_000_000,
+                        recoveries: 1,
+                        replayed: 40,
+                        ..Counters::default()
+                    },
                     queue_depth: Some(31),
                     queue_capacity: Some(32),
                     arrival_rate: 2500.0,
                     departure_rate: 2480.0,
                     utilization: 0.99,
-                    panics: 0,
-                    restarts: 0,
-                    dead_letters: 0,
-                    dropped: 0,
-                    busy_ns: 396_000_000,
-                    blocked_ns: 12_000_000,
-                    inbox_stall_ns: 7_000_000,
-                    snapshots: 3,
-                    snapshot_bytes: 96,
-                    align_stall_ns: 2_000_000,
-                    recoveries: 1,
-                    replayed: 40,
-                    replay_overflows: 0,
                 },
             ],
             latencies: vec![SinkLatency {
@@ -504,7 +426,9 @@ mod tests {
 
     #[test]
     fn prometheus_text_exports_checkpoint_and_blocked_time_counters() {
-        let text = prometheus_text(&sample_snapshot(), &verdicts());
+        let mut snap = sample_snapshot();
+        snap.actors[1].counters.panics = 2;
+        let text = prometheus_text(&snap, &verdicts());
         assert!(text.contains("spinstreams_actor_busy_ns_total{actor=\"slow\"} 396000000"));
         assert!(text.contains("spinstreams_actor_blocked_ns_total{actor=\"slow\"} 12000000"));
         assert!(text.contains("spinstreams_actor_inbox_stall_ns_total{actor=\"slow\"} 7000000"));
@@ -515,6 +439,61 @@ mod tests {
         assert!(text.contains("spinstreams_actor_replayed_total{actor=\"slow\"} 40"));
         assert!(text.contains("spinstreams_actor_replay_overflows_total{actor=\"slow\"} 0"));
         assert!(text.contains("spinstreams_last_complete_epoch 4"));
+        assert!(text.contains("# TYPE spinstreams_actor_panics_total counter"));
+        assert!(text.contains("spinstreams_actor_panics_total{actor=\"slow\"} 2"));
+    }
+
+    /// Every counter table entry reaches both exports and the schema
+    /// validator: a DES snapshot's JSON-lines record carries the field,
+    /// the Prometheus text carries the family with its HELP, TYPE and
+    /// sample lines, and `validate_telemetry.py` checks the field.
+    #[test]
+    fn every_counter_is_exported_and_validated() {
+        use spinstreams_runtime::operators::PassThrough;
+        use spinstreams_runtime::{
+            simulate_with_telemetry, ActorGraph, Behavior, CounterKind, Route, SimConfig,
+            SourceConfig, TelemetryConfig,
+        };
+        let mut g = ActorGraph::new();
+        let src = g.add_actor("src", Behavior::Source(SourceConfig::new(1_000.0, 20)));
+        let sink = g.add_actor("sink", Behavior::worker(PassThrough));
+        g.connect(src, Route::Unicast(sink));
+        let (_, tel) =
+            simulate_with_telemetry(g, &SimConfig::default(), &TelemetryConfig::default()).unwrap();
+        let snap = tel.last_snapshot().expect("final snapshot");
+        let json = snap.to_json();
+        let prom = prometheus_text(snap, &[]);
+        let script = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scripts/validate_telemetry.py"
+        ))
+        .unwrap();
+        let start = script.find("ACTOR_FIELDS = {").expect("ACTOR_FIELDS");
+        let validated = &script[start..start + script[start..].find('}').unwrap()];
+        for c in &COUNTERS {
+            let name = c.name;
+            assert!(
+                json.contains(&format!("\"{name}\":")),
+                "JSON lacks {name}: {json}"
+            );
+            let family = format!("spinstreams_actor_{name}_total");
+            for line in [
+                format!("# HELP {family} {}\n", c.help),
+                format!("# TYPE {family} counter\n"),
+                format!("{family}{{actor=\"sink\"}} "),
+            ] {
+                assert!(prom.contains(&line), "Prometheus text lacks {line:?}");
+            }
+            assert!(
+                validated.contains(&format!("\"{name}\": int")),
+                "validate_telemetry.py does not check {name}"
+            );
+            assert_eq!(
+                name.ends_with("_ns"),
+                c.kind == CounterKind::Nanos,
+                "{name}"
+            );
+        }
     }
 
     #[test]
